@@ -161,14 +161,19 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
+def _require_abcd(family_key, what):
+    """Reject the Taft factors, which have no conjugation grading."""
+    if family_key in ("taft", "taft_opp"):
+        raise CliError("%s applies to the families tensor-taft and hpq" % what)
+
+
 def _expected_blocks(family_key, n):
     if family_key == "tensor_taft":
         return 1
     if family_key == "hpq0":
         return n
-    if family_key == "hpq1":
-        return n * (n + 1) // 2
-    return None
+    # every p != 0 gives an algebra isomorphic to p = 1 (rescale a to a/p)
+    return n * (n + 1) // 2
 
 
 def _fusion_subset_check(family, n, predicate, seed=0):
@@ -314,13 +319,12 @@ def _run_target(target, n, family_key, seed):
     if target == "quiver4":
         return quiver_check_H0(n)
     if target == "blocks":
+        _require_abcd(family_key, "verify blocks")
         H = _build(family_key, n)
         rep = center_and_blocks(H)
         expected = _expected_blocks(family_key, n)
         rep["expected_block_count"] = expected
-        rep["status"] = (
-            "pass" if expected is None or rep["block_count"] == expected else "fail"
-        )
+        rep["status"] = "pass" if rep["block_count"] == expected else "fail"
         return rep
     if target == "tensor-iso":
         return tensor_iso_check(n)
@@ -350,6 +354,7 @@ def cmd_verify(args):
 
 def cmd_algebra_verify(args):
     family_key = _family_key(args.family, args.p)
+    _require_abcd(family_key, "algebra verify")
     H = _build(family_key, args.n)
     sample = None if H.dim <= 100 else max(500, args.sample or 0)
     reports = []
@@ -369,7 +374,8 @@ def cmd_algebra_verify(args):
         basic = H.spec.family == "tensor_taft" or (
             H.spec.family == "hpq" and H.p.is_zero()
         )
-        ok = value == 2 * args.n - 1 if basic else value >= 1
+        # deformed: each 2n-dimensional PIM has a top, a middle and a socle layer
+        ok = value == (2 * args.n - 1 if basic else 3)
         return {"check": "loewy_length", "value": value, "status": "pass" if ok else "fail"}
 
     def integrals(_):
@@ -384,9 +390,7 @@ def cmd_algebra_verify(args):
         rep["check"] = "blocks"
         expected = _expected_blocks(family_key, args.n)
         rep["expected_block_count"] = expected
-        rep["status"] = (
-            "pass" if expected is None or rep["block_count"] == expected else "fail"
-        )
+        rep["status"] = "pass" if rep["block_count"] == expected else "fail"
         return rep
 
     tasks = [axioms, radical, loewy, integrals, blocks]

@@ -2,20 +2,22 @@
 
 Elements are represented by their coordinates over the power basis
 1, z, ..., z^(phi(n)-1) of Q[x]/(Phi_n(x)), where Phi_n is the n-th
-cyclotomic polynomial.  Reduction modulo Phi_n is applied on every
-operation, so equality is coefficient equality and the representation
-is canonical.  No floating point is used anywhere.
+cyclotomic polynomial.  The coordinates are stored as a tuple of integer
+numerators over one positive common denominator, with no common factor
+left between them.  Phi_n is monic with integer coefficients, so reduction
+modulo Phi_n stays integral and each operation needs at most one gcd.
+The representation is canonical: equality is coefficient equality.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 
-try:  # gmpy2.mpq is a drop-in Fraction replacement, roughly 4x faster
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover
-    RAT = Fraction
+RAT = Fraction
 
 R0 = RAT(0)
 R1 = RAT(1)
@@ -65,6 +67,33 @@ def cyclotomic_polynomial(n):
     return num
 
 
+def _from_fractions(field, coeffs):
+    """CycloNum with the given rational coordinates (Fractions or ints)."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return CycloNum(field, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+
+
+def _reduced(field, nums, den):
+    """CycloNum for nums/den (den > 0), with the common factor divided out."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([c // g for c in nums])
+            den //= g
+    return CycloNum(field, nums, den)
+
+
+def _combine(x, y, op):
+    """x op y for op in (add, sub): the sum or difference of two CycloNums."""
+    da, db = x.den, y.den
+    if da == db:
+        return _reduced(x.field, tuple(map(op, x.nums, y.nums)), da)
+    g = gcd(da, db)
+    s, t = da // g, db // g
+    nums = tuple([op(u * t, v * s) for u, v in zip(x.nums, y.nums)])
+    return _reduced(x.field, nums, s * db)
+
+
 class CycloField:
     """The field Q(zeta_n) with distinguished primitive n-th root q = zeta_n."""
 
@@ -74,12 +103,13 @@ class CycloField:
         self.n = n
         self.phi = euler_phi(n)
         self.modulus = cyclotomic_polynomial(n)
-        # reduction of x^(phi+k) modulo Phi_n, for k = 0 .. phi-2
+        # reduction of x^(phi+k) modulo Phi_n, for k = 0 .. phi-2; integral
+        # because Phi_n is monic with integer coefficients
         red = []
-        cur = [-c for c in self.modulus[: self.phi]]  # x^phi = -(lower part)
+        cur = [-c.numerator for c in self.modulus[: self.phi]]  # x^phi = -(lower part)
         red.append(tuple(cur))
         for _ in range(self.phi - 2):
-            nxt = [R0] + cur[:-1]
+            nxt = [0] + cur[:-1]
             top = cur[-1]
             if top:
                 first = red[0]
@@ -87,9 +117,9 @@ class CycloField:
             cur = nxt
             red.append(tuple(cur))
         self._red = red
-        self.zero = CycloNum(self, (R0,) * self.phi)
+        self.zero = self.from_int(0)
         self.one = self.from_int(1)
-        self.q = CycloNum(self, tuple(R1 if i == 1 else R0 for i in range(self.phi)))
+        self.q = CycloNum(self, tuple(1 if i == 1 else 0 for i in range(self.phi)), 1)
         self._qpow = None
 
     def __repr__(self):
@@ -102,21 +132,18 @@ class CycloField:
         return hash(("CycloField", self.n))
 
     def from_int(self, k):
-        c = [R0] * self.phi
-        c[0] = RAT(k)
-        return CycloNum(self, tuple(c))
+        return CycloNum(self, (k,) + (0,) * (self.phi - 1), 1)
 
     def from_rat(self, r):
-        c = [R0] * self.phi
-        c[0] = RAT(r)
-        return CycloNum(self, tuple(c))
+        r = RAT(r)
+        return CycloNum(self, (r.numerator,) + (0,) * (self.phi - 1), r.denominator)
 
     def element(self, coeffs):
         coeffs = [RAT(c) for c in coeffs]
         if len(coeffs) > self.phi:
             raise ValueError("too many coefficients")
         coeffs += [R0] * (self.phi - len(coeffs))
-        return CycloNum(self, tuple(coeffs))
+        return _from_fractions(self, coeffs)
 
     def q_pow(self, k):
         """q**k with k reduced modulo n (q has order n)."""
@@ -128,12 +155,12 @@ class CycloField:
         return self._qpow[k % self.n]
 
     def random(self, rng, max_num=9, max_den=4):
-        return CycloNum(
+        return _from_fractions(
             self,
-            tuple(
+            [
                 RAT(rng.randint(-max_num, max_num), rng.randint(1, max_den))
                 for _ in range(self.phi)
-            ),
+            ],
         )
 
     def parse(self, text):
@@ -161,58 +188,76 @@ class CycloField:
             if k >= self.phi:
                 raise ValueError("exponent %d out of range in %r" % (k, text))
             coeffs[k] += sign * coef
-        return CycloNum(self, tuple(coeffs))
+        return _from_fractions(self, coeffs)
 
 
 class CycloNum:
-    """An element of Q(zeta_n); immutable, hashable, canonical."""
+    """An element of Q(zeta_n); immutable, hashable, canonical.
 
-    __slots__ = ("field", "coeffs", "_is0", "_hash")
+    ``nums`` holds integer numerators over the positive denominator ``den``,
+    with gcd(nums, den) = 1; zero is all-zero numerators over 1.  Build
+    elements through CycloField, which keeps that form.
+    """
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "nums", "den", "_is0", "_hash")
+
+    def __init__(self, field, nums, den):
         self.field = field
-        self.coeffs = coeffs
-        self._is0 = not any(coeffs)
-        self._hash = hash(coeffs)
+        self.nums = nums
+        self.den = den
+        self._is0 = not any(nums)
+
+    @property
+    def coeffs(self):
+        """The coordinates as a tuple of Fractions (a read-only view)."""
+        d = self.den
+        return tuple(Fraction(c, d) for c in self.nums)
 
     def is_zero(self):
         return self._is0
 
     def is_one(self):
-        c = self.coeffs
-        return c[0] == 1 and not any(c[1:])
+        return self.den == 1 and self.nums == self.field.one.nums
 
     def __bool__(self):
         return not self._is0
 
     def __eq__(self, other):
         if isinstance(other, CycloNum):
-            return self.coeffs == other.coeffs and self.field.n == other.field.n
+            return (
+                self.nums == other.nums
+                and self.den == other.den
+                and self.field.n == other.field.n
+            )
         if isinstance(other, int):
             return self == self.field.from_int(other)
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        # equal to the hash of the tuple of Fraction coordinates (a Fraction
+        # with denominator 1 hashes as its integer), computed on first use
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(self.nums) if self.den == 1 else hash(self.coeffs)
+            return h
 
     def __add__(self, other):
         if other._is0:
             return self
         if self._is0:
             return other
-        a, b = self.coeffs, other.coeffs
-        return CycloNum(self.field, tuple(a[i] + b[i] for i in range(len(a))))
+        return _combine(self, other, add)
 
     def __sub__(self, other):
         if other._is0:
             return self
-        a, b = self.coeffs, other.coeffs
-        return CycloNum(self.field, tuple(a[i] - b[i] for i in range(len(a))))
+        return _combine(self, other, sub)
 
     def __neg__(self):
         if self._is0:
             return self
-        return CycloNum(self.field, tuple(-c for c in self.coeffs))
+        return CycloNum(self.field, tuple([-c for c in self.nums]), self.den)
 
     def __mul__(self, other):
         if self._is0:
@@ -220,44 +265,44 @@ class CycloNum:
         if isinstance(other, int):
             if other == 0:
                 return self.field.zero
-            return CycloNum(self.field, tuple(c * other for c in self.coeffs))
+            return _reduced(self.field, tuple([c * other for c in self.nums]), self.den)
         if other._is0:
             return other
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         phi = len(a)
-        if phi == 1:  # plain rationals
-            return CycloNum(self.field, (a[0] * b[0],))
-        prod = [R0] * (2 * phi - 1)
+        prod = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(b, i):
                     if bj:
-                        prod[i + j] += ai * bj
+                        prod[j] += ai * bj
         out = prod[:phi]
         red = self.field._red
         for k in range(phi, 2 * phi - 1):
             pk = prod[k]
             if pk:
-                row = red[k - phi]
-                for i in range(phi):
-                    ri = row[i]
+                for i, ri in enumerate(red[k - phi]):
                     if ri:
                         out[i] += pk * ri
-        return CycloNum(self.field, tuple(out))
+        return _reduced(self.field, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, rational):
         if not rational or self._is0:
             return self.field.zero
-        return CycloNum(self.field, tuple(c * rational for c in self.coeffs))
+        return _reduced(
+            self.field,
+            tuple([c * rational.numerator for c in self.nums]),
+            self.den * rational.denominator,
+        )
 
     def inverse(self):
         """Exact inverse via the extended Euclidean algorithm on Q[x]."""
         if self._is0:
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.field.n)
         # invariants: s0*self + t0*Phi = r0, with polynomials over Q
-        r0 = [c for c in self.coeffs]
+        r0 = list(self.coeffs)
         while r0 and not r0[-1]:
             r0.pop()
         r1 = list(self.field.modulus)
@@ -285,7 +330,7 @@ class CycloNum:
         if len(inv) > phi:  # Bezout coefficient has degree < deg Phi_n
             raise ArithmeticError("inverse degree out of range")
         inv += [R0] * (phi - len(inv))
-        return CycloNum(self.field, tuple(inv))
+        return _from_fractions(self.field, inv)
 
     def __truediv__(self, other):
         return self * other.inverse()

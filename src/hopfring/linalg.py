@@ -9,6 +9,8 @@ they are canonical and comparable by equality.
 
 from __future__ import annotations
 
+from math import gcd
+
 __all__ = [
     "Mat",
     "Subspace",
@@ -27,11 +29,17 @@ __all__ = [
 
 
 def _size(x):
-    """Rough bit size of a cyclotomic scalar, used for pivot selection."""
+    """Rough bit size of a cyclotomic scalar, used for pivot selection: the
+    bit lengths of numerator and denominator of each nonzero coordinate in
+    lowest terms, summed."""
+    d = x.den
+    if d == 1:
+        return sum([c.bit_length() + 1 for c in x.nums if c])
     total = 0
-    for c in x.coeffs:
+    for c in x.nums:
         if c:
-            total += c.numerator.bit_length() + c.denominator.bit_length()
+            g = gcd(c, d)
+            total += (c // g).bit_length() + (d // g).bit_length()
     return total
 
 
@@ -74,7 +82,8 @@ def rref_rows(vectors, field, ncols):
                         row[j] = row[j] - f * pj
         done.append(prow)
         pivots.append(col)
-        work = [r for r in work if any(not c._is0 for c in r)]
+        # columns up to col are now zero in every remaining row
+        work = [r for r in work if any(not c._is0 for c in r[col + 1:])]
         if not work:
             break
     order = sorted(range(len(done)), key=lambda i: pivots[i])

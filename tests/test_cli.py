@@ -1,5 +1,6 @@
 import json
 
+from hopfring import cli
 from hopfring.cli import main
 
 
@@ -166,3 +167,42 @@ def test_algebra_verify_hpq1(capsys):
     assert checks["blocks"]["block_count"] == 6
     assert checks["loewy_length"]["value"] == 3
     assert checks["integrals"]["unimodular"] is True
+
+
+def test_algebra_verify_rejects_taft_factors(capsys):
+    for family in ("taft", "taft-opp"):
+        assert main(["algebra", "verify", "--family", family, "--n", "3"]) == 2
+        assert "tensor-taft and hpq" in capsys.readouterr().err
+    assert main(["verify", "blocks", "--family", "taft", "--n", "3"]) == 2
+
+
+def test_deformed_loewy_gate_can_fail(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_loewy_for", lambda H: 4)
+    code, out = run(
+        capsys, "algebra", "verify", "--family", "hpq", "--p", "1", "--n", "3"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    checks = {r["check"]: r for r in doc["reports"]}
+    assert checks["loewy_length"] == {"check": "loewy_length", "value": 4, "status": "fail"}
+
+
+def test_blocks_expected_for_any_nonzero_p(capsys, monkeypatch):
+    args = ["verify", "blocks", "--n", "3", "--family", "hpq", "--p", "1/2"]
+    code, out = run(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["reports"][0]["expected_block_count"] == 6
+    real = cli.center_and_blocks
+
+    def one_block_too_many(H):
+        rep = real(H)
+        rep["block_count"] += 1
+        return rep
+
+    monkeypatch.setattr(cli, "center_and_blocks", one_block_too_many)
+    code, out = run(capsys, *args)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert doc["reports"][0]["block_count"] == 7

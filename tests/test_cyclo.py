@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfring.cyclo import RAT, cyclo_field, q_factorial
+from hopfring.cyclo import RAT, _poly_divmod, cyclo_field, q_factorial
+from hopfring.linalg import _size
 
 
 @pytest.fixture(scope="module", params=[3, 4, 5])
@@ -142,3 +146,100 @@ def test_canonical_hash_equality(field):
         b = field.parse(a.serialize())
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+# -- property tests ------------------------------------------------------------
+
+FIELDS = {n: cyclo_field(n) for n in (3, 4, 5)}
+COORD = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+PROPS = settings(max_examples=150, deadline=None)
+
+
+def elements(F):
+    return st.lists(COORD, min_size=F.phi, max_size=F.phi).map(F.element)
+
+
+def field_and(count):
+    """A field of order 3, 4 or 5 and `count` of its elements."""
+    return st.sampled_from(sorted(FIELDS)).flatmap(
+        lambda n: st.tuples(st.just(FIELDS[n]), *[elements(FIELDS[n])] * count)
+    )
+
+
+def _fraction_product(F, a, b):
+    """Reference product: Fraction polynomial product, reduced mod Phi_n."""
+    prod = [Fraction(0)] * (2 * F.phi - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    _, rem = _poly_divmod(prod, F.modulus)
+    return F.element(rem)
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    assert x.is_zero() == (not any(x.nums))
+    if x.is_zero():
+        assert x.den == 1
+
+
+@PROPS
+@given(field_and(3))
+def test_field_axioms_property(fabc):
+    F, a, b, c = fabc
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert (a - b) + b == a
+    assert a * b == _fraction_product(F, a, b)
+    if not a.is_zero():
+        assert a * a.inverse() == F.one
+        assert (b / a) * a == b
+
+
+@PROPS
+@given(field_and(2), st.integers(-30, 30), st.fractions(max_denominator=20))
+def test_results_canonical(fab, k, r):
+    F, a, b = fab
+    for x in (a, b, a + b, a - b, a - a, -a, a * b, a * k, k * a, a.scale(r)):
+        _assert_canonical(x)
+    assert a * k == a * F.from_int(k) == k * a
+    assert a.scale(r) == a * F.from_rat(r)
+    if not a.is_zero():
+        _assert_canonical(a.inverse())
+
+
+@PROPS
+@given(field_and(1))
+def test_serialize_parse_property(fa):
+    F, a = fa
+    text = a.serialize()
+    assert F.parse(text) == a
+    assert F.parse(text).serialize() == text
+
+
+@PROPS
+@given(field_and(2))
+def test_hash_is_fraction_tuple_hash(fab):
+    F, a, b = fab
+    for x in (a, a * b, a + b, F.q_pow(2) * a):
+        coords = tuple(Fraction(c, x.den) for c in x.nums)
+        assert x.coeffs == coords
+        assert hash(x) == hash(coords)
+        assert F.element(coords) == x
+
+
+def _size_by_fractions(x):
+    return sum(
+        c.numerator.bit_length() + c.denominator.bit_length() for c in x.coeffs if c
+    )
+
+
+@PROPS
+@given(field_and(2))
+def test_pivot_size_matches_fraction_definition(fab):
+    F, a, b = fab
+    for x in (a, a * b, a - b, F.q_pow(1) + F.one, F.zero):
+        assert _size(x) == _size_by_fractions(x)
