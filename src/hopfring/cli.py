@@ -12,11 +12,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import AlgebraSpec, build_algebra
 from .cyclo import RAT
 from .green import (
+    _fmt,
     algebra_for_family,
     class_algebra_radical,
     closed_form_fusion,
@@ -152,13 +152,6 @@ def _wrap(args, command, reports):
         "status": status,
         "reports": reports,
     }
-
-
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _require_abcd(family_key, what):
@@ -357,19 +350,18 @@ def cmd_algebra_verify(args):
     _require_abcd(family_key, "algebra verify")
     H = _build(family_key, args.n)
     sample = None if H.dim <= 100 else max(500, args.sample or 0)
-    reports = []
 
-    def axioms(_):
+    def axioms():
         rep = verify_hopf_axioms(H, sample=sample, seed=args.seed)
         return dict(rep.to_json(), check="hopf_axioms")
 
-    def radical(_):
+    def radical():
         rep = radical_report(H, check_quotient=(H.dim <= 300))
         rep["check"] = "radical"
         rep["status"] = "pass" if rep.get("quotient_semisimple", True) else "fail"
         return rep
 
-    def loewy(_):
+    def loewy():
         value = _loewy_for(H)
         basic = H.spec.family == "tensor_taft" or (
             H.spec.family == "hpq" and H.p.is_zero()
@@ -378,14 +370,14 @@ def cmd_algebra_verify(args):
         ok = value == (2 * args.n - 1 if basic else 3)
         return {"check": "loewy_length", "value": value, "status": "pass" if ok else "fail"}
 
-    def integrals(_):
+    def integrals():
         rep = integrals_and_symmetry(H)
         rep["check"] = "integrals"
         ok = rep["left_integral_dim"] == 1 and rep["right_integral_dim"] == 1
         rep["status"] = "pass" if ok else "fail"
         return rep
 
-    def blocks(_):
+    def blocks():
         rep = center_and_blocks(H)
         rep["check"] = "blocks"
         expected = _expected_blocks(family_key, args.n)
@@ -393,8 +385,7 @@ def cmd_algebra_verify(args):
         rep["status"] = "pass" if rep["block_count"] == expected else "fail"
         return rep
 
-    tasks = [axioms, radical, loewy, integrals, blocks]
-    reports = _pmap(lambda fn: fn(None), tasks, args.jobs)
+    reports = [check() for check in (axioms, radical, loewy, integrals, blocks)]
     return _wrap(args, "algebra verify", reports)
 
 
@@ -432,7 +423,7 @@ def cmd_fuse(args):
         reports.append(
             {
                 "mode": "closed_form",
-                "result": _ring_str(closed),
+                "result": _fmt(closed),
                 "status": "pass",
             }
         )
@@ -449,17 +440,9 @@ def cmd_fuse(args):
         if closed is not None and computed != closed:
             status = "fail"
         reports.append(
-            {"mode": "computed", "result": _ring_str(computed), "status": status}
+            {"mode": "computed", "result": _fmt(computed), "status": status}
         )
     return _wrap(args, "fuse", reports)
-
-
-def _ring_str(d):
-    if not d:
-        return "0"
-    return " + ".join(
-        ("%d*%s" % (m, l)) if m != 1 else str(l) for l, m in sorted(d.items())
-    )
 
 
 def cmd_table(args):
@@ -512,7 +495,6 @@ def build_parser():
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--p", default=None, help="parameter for family hpq (rational)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--timings", action="store_true")

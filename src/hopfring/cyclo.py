@@ -219,6 +219,12 @@ class CycloNum:
     def is_one(self):
         return self.den == 1 and self.nums == self.field.one.nums
 
+    def as_int(self):
+        """The value as an int when it is a rational integer, else None."""
+        if self.den == 1 and not any(self.nums[1:]):
+            return self.nums[0]
+        return None
+
     def __bool__(self):
         return not self._is0
 

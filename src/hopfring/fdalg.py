@@ -25,11 +25,6 @@ class TableAlgebra:
         self.unit = unit  # coordinate vector of 1, if known
         self._radical = None
 
-    @staticmethod
-    def from_table(field, table, unit=None):
-        dim = len(table)
-        return TableAlgebra(field, dim, lambda i, j: table[i][j], unit=unit)
-
     def basis_product(self, i, j):
         key = (i, j)
         v = self._table.get(key)

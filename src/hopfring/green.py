@@ -25,7 +25,6 @@ __all__ = [
     "closed_form_fusion",
     "fusion_table",
     "FusionTable",
-    "ring_mul",
     "verify_presentation",
     "identity_suite_H1",
     "class_algebra_radical",
@@ -301,10 +300,6 @@ class FusionTable:
                 )]
             )
         return buf.getvalue()
-
-
-def ring_mul(table, x, y):
-    return table.mul(x, y)
 
 
 def _catalog_module(cat, label):
@@ -616,28 +611,30 @@ def _mono_mul_key(m1, m2):
 
 
 def _int_det(mat):
-    """Exact determinant of an integer matrix via fraction-free elimination."""
+    """Exact determinant of an integer matrix via fraction-free (Bareiss)
+    elimination: every intermediate entry is a minor of mat, an integer."""
     k = len(mat)
-    m = [[RAT(v) for v in row] for row in mat]
-    det = RAT(1)
+    m = [list(row) for row in mat]
+    sign, prev = 1, 1
     for col in range(k):
         piv = next((r for r in range(col, k) if m[r][col] != 0), None)
         if piv is None:
             return 0
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            det = -det
+            sign = -sign
         pv = m[col][col]
-        det = det * pv
-        inv = 1 / pv
-        m[col] = [x * inv for x in m[col]]
         for r in range(col + 1, k):
-            if m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    if det.denominator != 1:
-        raise FusionError("integer determinant came out fractional")
-    return int(det)
+            f = m[r][col]
+            row = m[r]
+            for j in range(col + 1, k):
+                num = pv * row[j] - f * m[col][j]
+                if num % prev:
+                    raise FusionError("integer determinant came out fractional")
+                row[j] = num // prev
+            row[col] = 0
+        prev = pv
+    return sign * (m[k - 1][k - 1] if k else 1)
 
 
 # -- identity suite for the deformed family ---------------------------------
@@ -994,20 +991,18 @@ def _block_dim(quotient, e):
 def quiver_check_H0(n):
     """Arrow counts and admissible relations of one block's Gabriel quiver."""
     t0 = time.perf_counter()
-    from .structure import jacobson_radical, monomial_ideal_span
+    from .structure import _vector_to_elt, jacobson_radical, monomial_ideal_span
 
     H = algebra_for_family("hpq0", n)
     J = jacobson_radical(H)
     # the radical is the ideal of positive a,d-degree; its square is the
     # monomial span of degree >= 2, so reduction is a coordinate projection
     J2 = monomial_ideal_span(H, lambda m: m[0] + m[3] >= 2)
-    from .algebra import AlgElt
 
     sb2 = SpanBuilder(H.field, H.dim)
     gens = [H.gen("a"), H.gen("d")]
     for row in J.rows:
-        terms = {H.basis[idx]: c for idx, c in enumerate(row) if not c.is_zero()}
-        x = AlgElt(H, terms)
+        x = _vector_to_elt(H, row)
         for g in gens:
             sb2.insert((x * g).as_vector())
     if sb2.to_subspace() != J2:

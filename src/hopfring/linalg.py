@@ -21,7 +21,6 @@ __all__ = [
     "solve",
     "invert",
     "kronecker",
-    "direct_sum",
     "restrict_operator",
     "quotient_operator",
     "bilinear_radical",
@@ -41,6 +40,35 @@ def _size(x):
             g = gcd(c, d)
             total += (c // g).bit_length() + (d // g).bit_length()
     return total
+
+
+def _clear_column(rows, prow, col, ncols):
+    """Subtract multiples of the normalized pivot row prow (pivot at col) from
+    every row in rows, so that each has a zero in column col."""
+    for row in rows:
+        f = row[col]
+        if not f._is0:
+            for j in range(col, ncols):
+                pj = prow[j]
+                if not pj._is0:
+                    row[j] = row[j] - f * pj
+
+
+def _residual(rows, pivots, ncols, vec, coords=None):
+    """What is left of vec after reducing it by the reduced echelon rows with
+    the given pivots; when coords is a list, each row's multiplier is
+    appended to it."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if coords is not None:
+            coords.append(f)
+        if not f._is0:
+            for j in range(p, ncols):
+                rj = row[j]
+                if not rj._is0:
+                    v[j] = v[j] - f * rj
+    return v
 
 
 def rref_rows(vectors, field, ncols):
@@ -66,20 +94,7 @@ def rref_rows(vectors, field, ncols):
         if not pv.is_one():
             inv = pv.inverse()
             prow = [c * inv for c in prow]
-        for row in work:
-            f = row[col]
-            if not f._is0:
-                for j in range(col, ncols):
-                    pj = prow[j]
-                    if not pj._is0:
-                        row[j] = row[j] - f * pj
-        for row in done:
-            f = row[col]
-            if not f._is0:
-                for j in range(col, ncols):
-                    pj = prow[j]
-                    if not pj._is0:
-                        row[j] = row[j] - f * pj
+        _clear_column(work + done, prow, col, ncols)
         done.append(prow)
         pivots.append(col)
         # columns up to col are now zero in every remaining row
@@ -268,60 +283,18 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of vec modulo the subspace (zero iff contained)."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if not f._is0:
-                for j in range(p, self.ambient):
-                    rj = row[j]
-                    if not rj._is0:
-                        v[j] = v[j] - f * rj
-        return v
+        return _residual(self.rows, self.pivots, self.ambient, vec)
 
     def contains(self, vec):
         return all(c._is0 for c in self.reduce(vec))
 
     def coords(self, vec):
         """Coordinates of vec in the echelon basis; raises if not a member."""
-        v = list(vec)
         out = []
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            out.append(f)
-            if not f._is0:
-                for j in range(p, self.ambient):
-                    rj = row[j]
-                    if not rj._is0:
-                        v[j] = v[j] - f * rj
+        v = _residual(self.rows, self.pivots, self.ambient, vec, out)
         if any(not c._is0 for c in v):
             raise ValueError("vector not contained in subspace")
         return out
-
-    def sum(self, other):
-        return Subspace.from_vectors(
-            self.field, self.ambient, list(self.rows) + list(other.rows)
-        )
-
-    def intersect(self, other):
-        """Intersection computed from the kernel of [basis_self | -basis_other]."""
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.field, self.ambient)
-        cols = [list(r) for r in self.rows] + [[-c for c in r] for r in other.rows]
-        m = Mat(self.field, self.ambient, len(cols), [
-            [cols[j][i] for j in range(len(cols))] for i in range(self.ambient)
-        ])
-        ker = kernel_basis(m)
-        vecs = []
-        for kv in ker.rows:
-            v = [self.field.zero] * self.ambient
-            for idx, row in enumerate(self.rows):
-                c = kv[idx]
-                if not c._is0:
-                    for j, rj in enumerate(row):
-                        if not rj._is0:
-                            v[j] = v[j] + c * rj
-            vecs.append(v)
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
 
     def complement_indices(self):
         piv = set(self.pivots)
@@ -352,15 +325,7 @@ class SpanBuilder:
         return len(self.rows)
 
     def residual(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if not f._is0:
-                for j in range(p, self.ambient):
-                    rj = row[j]
-                    if not rj._is0:
-                        v[j] = v[j] - f * rj
-        return v
+        return _residual(self.rows, self.pivots, self.ambient, vec)
 
     def insert(self, vec):
         v = self.residual(vec)
@@ -375,17 +340,11 @@ class SpanBuilder:
         if not pv.is_one():
             inv = pv.inverse()
             v = [c * inv for c in v]
-        for row, p in zip(self.rows, self.pivots):
-            f = row[lead]
-            if not f._is0:
-                for j in range(lead, self.ambient):
-                    vj = v[j]
-                    if not vj._is0:
-                        row[j] = row[j] - f * vj
+        _clear_column(self.rows, v, lead, self.ambient)
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos] < lead:
             pos += 1
-        self.rows.insert(pos, list(v))
+        self.rows.insert(pos, v)
         self.pivots.insert(pos, lead)
         return True
 
@@ -408,6 +367,8 @@ def kernel_basis(m):
             if not row[f]._is0:
                 v[p] = -row[f]
         vecs.append(v)
+    # one vector per free column is a basis, but not the canonical echelon
+    # one: a pivot column left of f can carry its leading entry
     return Subspace.from_vectors(m.field, m.cols, vecs)
 
 
@@ -422,17 +383,15 @@ def image(m):
 
 
 def solve(m, b):
-    """One solution of Mx = b (or None) plus the homogeneous kernel."""
+    """One solution of Mx = b, or None when the system is inconsistent."""
     aug = [list(row) + [bv] for row, bv in zip(m.data, b)]
     rows, pivots = rref_rows(aug, m.field, m.cols + 1)
-    ker = kernel_basis(m)
-    z = m.field.zero
-    x = [z] * m.cols
+    x = [m.field.zero] * m.cols
     for row, p in zip(rows, pivots):
         if p == m.cols:
-            return None, ker
+            return None
         x[p] = row[m.cols]
-    return x, ker
+    return x
 
 
 def kronecker(a, b):
@@ -452,20 +411,6 @@ def kronecker(a, b):
                     if not bv._is0:
                         orow[base + jb] = av * bv
     return Mat(field, a.rows * rb, a.cols * cb, out)
-
-
-def direct_sum(mats):
-    field = mats[0].field
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Mat.zeros(field, rows, cols)
-    ro = co = 0
-    for m in mats:
-        for i in range(m.rows):
-            out.data[ro + i][co : co + m.cols] = list(m.data[i])
-        ro += m.rows
-        co += m.cols
-    return out
 
 
 def restrict_operator(t, w):

@@ -17,11 +17,22 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgElt, defining_relations
-from .cyclo import RAT
+from .algebra import defining_relations
 from .labels import Label
-from .linalg import Mat, SpanBuilder, Subspace, kernel_basis, kronecker
-from .structure import jacobson_radical, radical_ideal_generators
+from .linalg import (
+    Mat,
+    SpanBuilder,
+    Subspace,
+    image as column_space,
+    invert,
+    kernel_basis,
+    kronecker,
+    quotient_operator,
+    restrict_operator,
+    rref_rows,
+    solve,
+)
+from .structure import _vector_to_elt, jacobson_radical, radical_ideal_generators
 
 __all__ = [
     "Module",
@@ -178,27 +189,6 @@ class Module:
         self._mono_act[mono] = out
         return out
 
-    def weight_of_vector(self, vec):
-        """The (i, j) weight of a joint eigenvector of b and c."""
-        H = self.algebra
-        f = H.field
-        lead = next(i for i, c in enumerate(vec) if not c.is_zero())
-        out = []
-        for name in ("b", "c"):
-            img = self.acts[name].apply(vec)
-            ratio = img[lead] * vec[lead].inverse()
-            for k in range(H.n):
-                if f.q_pow(k) == ratio:
-                    out.append(k)
-                    break
-            else:
-                raise ModuleError("vector is not a root-of-unity eigenvector")
-        i, j = out
-        expect = [c * f.q_pow(i) for c in vec]
-        if self.acts["b"].apply(vec) != expect:
-            raise ModuleError("vector is not a b-eigenvector")
-        return (i, j)
-
     def to_json(self):
         return {
             "label": str(self.label) if self.label is not None else None,
@@ -266,8 +256,6 @@ def module_from_vectors(H, vectors, label=None):
     m = len(vectors)
     cob_cols = [sub.coords(v.as_vector()) for v in vectors]
     cob = Mat(H.field, m, m, [[cob_cols[j][i] for j in range(m)] for i in range(m)])
-    from .linalg import invert
-
     cobinv = invert(cob)
     acts = {}
     for name in H.letters:
@@ -380,8 +368,6 @@ def weight_decomposition(M):
         kb = kernel_basis(B - eye.scale(f.q_pow(i)))
         if kb.dim == 0:
             continue
-        from .linalg import restrict_operator
-
         cr = restrict_operator(C, kb)
         for j in range(n):
             kc = kernel_basis(cr - Mat.identity(f, kb.dim).scale(f.q_pow(j)))
@@ -423,8 +409,6 @@ def weightized(M):
             cols.append(list(row))
             weights.append(w)
     p = Mat(f, M.dim, M.dim, [[cols[j][i] for j in range(M.dim)] for i in range(M.dim)])
-    from .linalg import invert
-
     pinv = invert(p)
     acts = {name: pinv * M.acts[name] * p for name in M.acts}
     out = Module(H, acts, label=M.label, weights=weights, check=False)
@@ -538,8 +522,6 @@ def _weight_dims(M):
 
 def submodule_restriction(M, sub):
     """M restricted to an invariant subspace, as a module on its echelon basis."""
-    from .linalg import restrict_operator
-
     acts = {name: restrict_operator(M.acts[name], sub) for name in M.acts}
     return Module(M.algebra, acts, label=None, weights=None, check=False)
 
@@ -554,13 +536,7 @@ def radical_submodule(M, sub=None):
         mats = [M.act_elt(g) for g in gens]
     else:
         J = jacobson_radical(H)
-        mats = []
-        for row in J.rows:
-            terms = {}
-            for idx, c in enumerate(row):
-                if not c.is_zero():
-                    terms[H.basis[idx]] = c
-            mats.append(M.act_elt(AlgElt(H, terms)))
+        mats = [M.act_elt(_vector_to_elt(H, row)) for row in J.rows]
     for mat in mats:
         for row in base_rows:
             sb.insert(mat.apply(list(row)))
@@ -634,14 +610,6 @@ def spin_module(H, seeds, label=None):
     return module_from_vectors(H, vectors, label=label)
 
 
-def _vector_to_elt(H, vec):
-    terms = {}
-    for idx, c in enumerate(vec):
-        if not c.is_zero():
-            terms[H.basis[idx]] = c
-    return AlgElt(H, terms)
-
-
 def _left_weight(H, v):
     """Weight of a left-multiplication eigenvector of the regular module."""
     f = H.field
@@ -682,7 +650,7 @@ class ModuleCatalog:
         self.simples = simples  # label -> Module
         self.pims = pims  # simple label -> its projective cover Module
         self.cartan = cartan  # (top label T, simple label S) -> [P(T):S]
-        self._cmi_inv = None
+        self._cartan_factor = None
         self._char_matrix = None
         self._char_inverse = None
 
@@ -707,32 +675,37 @@ class ModuleCatalog:
         Copies of self-projective simples are counted once, on the simple
         side, so the b-unknowns range over the covers with l strictly below
         the top dimension; on that column set C^T - I has trivial kernel
-        (verified when the catalog is built).
+        (verified when the catalog is built).  The system is eliminated once:
+        the reduced form of [C^T - I | I] holds a left inverse of C^T - I
+        above the rows that every solvable right-hand side must annihilate.
         """
         labs = self.labels
         k = len(labs)
-        if self._cmi_inv is None:
+        if self._cartan_factor is None:
+            f = self.algebra.field
             cm = self.cartan_matrix()
             free = [j for j, lab in enumerate(labs) if not self.self_projective(lab)]
-            m = [
-                [RAT(cm[j][i]) - (RAT(1) if i == j else RAT(0)) for j in free]
+            aug = [
+                [f.from_int(cm[j][i] - (i == j)) for j in free]
+                + [f.one if c == i else f.zero for c in range(k)]
                 for i in range(k)
             ]
-            try:
-                _rat_solve_unique(m, [RAT(0)] * k)
-            except ValueError:
+            rows, pivots = rref_rows(aug, f, len(free) + k)
+            if pivots[: len(free)] != list(range(len(free))):
                 raise ModuleError("Cartan system is degenerate on the cover columns")
-            self._cmi_inv = (m, free)
-        m, free = self._cmi_inv
-        rhs = [RAT(cvec[i] - tvec[i]) for i in range(k)]
-        b_free = _rat_solve_unique(m, rhs)
-        if b_free is None:
+            self._cartan_factor = (free, [row[len(free):] for row in rows])
+        free, factor = self._cartan_factor
+        rhs = [cvec[i] - tvec[i] for i in range(k)]
+        zero = self.algebra.field.zero
+        vals = [sum((c * r for c, r in zip(row, rhs) if r), zero) for row in factor]
+        if any(not v.is_zero() for v in vals[len(free):]):
             return None
         out_b = [0] * k
-        for pos, x in zip(free, b_free):
-            if x.denominator != 1 or x < 0:
+        for pos, v in zip(free, vals):
+            x = v.as_int()
+            if x is None or x < 0:
                 return None
-            out_b[pos] = int(x)
+            out_b[pos] = x
         out_a = [tvec[i] - out_b[i] for i in range(k)]
         if any(x < 0 for x in out_a):
             return None
@@ -754,9 +727,10 @@ class ModuleCatalog:
         if self._char_inverse is None:
             _, rows = self.char_matrix()
             k = len(rows)
-            m = [[RAT(rows[i][j]) for i in range(k)] for j in range(k)]  # transpose
+            f = self.algebra.field
+            m = Mat(f, k, k, [[f.from_int(rows[i][j]) for i in range(k)] for j in range(k)])
             try:
-                self._char_inverse = _rat_invert(m)
+                self._char_inverse = invert(m).data
             except ValueError:
                 self._char_inverse = "singular"
         return self._char_inverse
@@ -773,65 +747,19 @@ class ModuleCatalog:
         if inv is not None and inv != "singular" and not via_hom:
             wkeys, _ = self.char_matrix()
             wd = _weight_dims(M)
-            vec = [RAT(wd.get(w, 0)) for w in wkeys]
+            vec = [wd.get(w, 0) for w in wkeys]
+            zero = H.field.zero
             out = []
-            for i in range(len(labs)):
-                x = sum(inv[i][j] * vec[j] for j in range(len(vec)))
-                if x.denominator != 1 or x < 0:
+            for row in inv:
+                x = sum((c * v for c, v in zip(row, vec) if v), zero).as_int()
+                if x is None or x < 0:
                     raise ModuleError("character system has no integral solution")
-                out.append(int(x))
+                out.append(x)
             return out
         return [hom_dim(self.pims[lab], M).dim for lab in labs]
 
     def top_vector(self, M):
         return [hom_dim(M, self.simples[lab]).dim for lab in self.labels]
-
-
-def _rat_invert(m):
-    """Exact inverse of a square rational matrix (list of lists of RAT)."""
-    k = len(m)
-    aug = [list(row) + [RAT(1) if i == j else RAT(0) for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("rational matrix not invertible")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
-def _rat_solve_unique(m, rhs):
-    """The unique rational solution of an overdetermined system (None if none).
-
-    Requires the columns to be independent; raises ValueError otherwise.
-    """
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    aug = [list(m[i]) + [rhs[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("solver expects independent columns")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    return [aug[i][cols] for i in range(len(pivots))]
 
 
 def _basic_catalog(H):
@@ -923,8 +851,6 @@ def _h1_discover_pims(H, simples, seed):
 
 def _restrict_to_image(E, mat):
     """E restricted to the image of an idempotent endomorphism."""
-    from .linalg import image as column_space, restrict_operator
-
     sub = column_space(mat)
     acts = {name: restrict_operator(E.acts[name], sub) for name in E.acts}
     return Module(E.algebra, acts, check=False)
@@ -941,8 +867,6 @@ def _split_summands(E, simples):
         return [E]
     V = simples[tops[0][0]]
     je = radical_submodule(E)
-    from .linalg import quotient_operator
-
     top_acts = {name: quotient_operator(E.acts[name], je) for name in E.acts}
     top_mod = Module(H, top_acts, check=False)
     comp = je.complement_indices()
@@ -968,8 +892,6 @@ def _split_summands(E, simples):
             row.append(lam)
         pairing.append(row)
     pm = Mat(f, m, m, pairing)
-    from .linalg import invert
-
     pm_inv = invert(pm)
     # h_1 := sum_j inv[0][j] g_top[j] satisfies h_1 f_k = delta(1, k)
     h1 = None
@@ -1000,9 +922,7 @@ def _split_summands(E, simples):
         len(end_basis),
         [[cols[j][i] for j in range(len(end_basis))] for i in range(len(target))],
     )
-    from .linalg import solve
-
-    x, _ = solve(mat, target)
+    x = solve(mat, target)
     if x is None:
         raise ModuleError("top projection does not lift to an endomorphism")
     eta = None
@@ -1184,8 +1104,6 @@ def conjugated_module(M, seed):
     H = M.algebra
     f = H.field
     d = M.dim
-    from .linalg import invert
-
     while True:
         p = Mat.from_rows(
             f, [[f.from_int(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]

@@ -113,15 +113,8 @@ def radical_ideal_generators(H):
     return None
 
 
-def _rows_to_elts(H, rows):
-    out = []
-    for row in rows:
-        terms = {}
-        for idx, c in enumerate(row):
-            if not c.is_zero():
-                terms[H.basis[idx]] = c
-        out.append(AlgElt(H, terms))
-    return out
+def _vector_to_elt(H, vec):
+    return AlgElt(H, {H.basis[idx]: c for idx, c in enumerate(vec) if not c.is_zero()})
 
 
 def loewy_length(H):
@@ -130,7 +123,7 @@ def loewy_length(H):
     if J.dim == 0:
         return 1
     gens = radical_ideal_generators(H)
-    current = _rows_to_elts(H, J.rows)
+    current = [_vector_to_elt(H, row) for row in J.rows]
     j_elts = current
     m = 1
     while current:
@@ -145,7 +138,7 @@ def loewy_length(H):
             for x in current:
                 for y in j_elts:
                     sb.insert((x * y).as_vector())
-        current = _rows_to_elts(H, sb.rows)
+        current = [_vector_to_elt(H, row) for row in sb.rows]
         m += 1
     return m
 
@@ -308,7 +301,7 @@ def center_subspace(H):
 
 def center_table_algebra(H, Z):
     """The center as an abstract commutative algebra on its echelon basis."""
-    elts = _rows_to_elts(H, Z.rows)
+    elts = [_vector_to_elt(H, row) for row in Z.rows]
     field = H.field
 
     def product(i, j):
@@ -422,15 +415,8 @@ def blocks_isomorphic_H0(H):
                 unit_ok = False
         # change of basis from the canonical echelon rows to the labeled basis
         m = span.dim
-        cob = Mat(
-            H.field,
-            m,
-            m,
-            [
-                [span.coords(x.as_vector())[r] for (_, x) in basis_elts]
-                for r in range(m)
-            ],
-        )
+        cols = [span.coords(x.as_vector()) for (_, x) in basis_elts]
+        cob = Mat(H.field, m, m, [[col[r] for col in cols] for r in range(m)])
         labels = [lab for lab, _ in basis_elts]
         sol = _invert(cob)
         table = {}

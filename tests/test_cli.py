@@ -73,14 +73,6 @@ def test_json_byte_determinism(capsys):
     assert out1 == out2
 
 
-def test_jobs_equal_serial(capsys):
-    base = ["algebra", "verify", "--family", "tensor-taft", "--n", "3"]
-    code1, out1 = run(capsys, *base, "--jobs", "1")
-    code2, out2 = run(capsys, *base, "--jobs", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_modules_list(capsys):
     code, out = run(
         capsys, "modules", "list", "--family", "hpq", "--p", "1", "--n", "3"

@@ -39,6 +39,15 @@ def test_inverse_of_q_at_4():
     assert F.q.inverse() == F.q ** 3
 
 
+def test_as_int_only_for_rational_integers(field):
+    assert field.from_int(-7).as_int() == -7
+    assert field.zero.as_int() == 0
+    assert field.from_rat(RAT(3, 2)).as_int() is None
+    assert field.q.as_int() is None
+    assert (field.q + field.from_int(2)).as_int() is None
+    assert (field.q * field.q.inverse()).as_int() == 1
+
+
 def test_inverse_of_zero_rejected(field):
     with pytest.raises(ZeroDivisionError):
         field.zero.inverse()

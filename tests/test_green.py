@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfring.green import (
     FusionError,
     PresentationSpec,
+    _int_det,
     class_algebra_radical,
     closed_form_fusion,
     fusion_table,
@@ -222,3 +226,38 @@ def test_label_dims():
     assert label_dim(P(1, 0), 3) == 6
     assert label_dim(BP(0, 0), 3) == 9
     assert label_dim(S(0, 0), 3) == 1
+
+
+# -- fraction-free determinant -------------------------------------------------
+
+
+def _cofactor_det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k), min_size=k, max_size=k)
+))
+def test_int_det_matches_cofactor_expansion(m):
+    assert _int_det(m) == _cofactor_det(m)
+
+
+def test_int_det_row_swaps_and_singular():
+    # zero leading pivots force one swap (sign -1) and then a second one
+    assert _int_det([[0, 1], [1, 0]]) == -1
+    assert _int_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert _int_det([[0, 2, 1], [3, 0, 0], [0, 0, 5]]) == -30
+    assert _int_det([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
+    assert _int_det([[1, 2], [0, 0]]) == 0
+
+
+def test_int_det_inexact_division_raises():
+    with pytest.raises(FusionError):
+        _int_det([[1, 1], [1, Fraction(1, 2)]])

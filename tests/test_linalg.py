@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfring.cyclo import cyclo_field
 from hopfring.linalg import (
@@ -8,8 +9,8 @@ from hopfring.linalg import (
     SpanBuilder,
     Subspace,
     bilinear_radical,
-    direct_sum,
     image,
+    invert,
     kernel_basis,
     kronecker,
     quotient_operator,
@@ -127,17 +128,16 @@ def test_solve_particular_and_kernel():
         m = rand_mat(F3, 3, 4, rng)
         x0 = [F3.random(rng) for _ in range(4)]
         b = m.apply(x0)
-        x, ker = solve(m, b)
+        x = solve(m, b)
         assert x is not None
         assert m.apply(x) == b
-        assert rank(m) + ker.dim == 4
+        # x0 - x lies in the kernel
+        assert kernel_basis(m).contains([u - v for u, v in zip(x0, x)])
 
 
 def test_solve_inconsistent():
     m = Mat.zeros(F3, 2, 2)
-    x, ker = solve(m, [F3.one, F3.zero])
-    assert x is None
-    assert ker.dim == 2
+    assert solve(m, [F3.one, F3.zero]) is None
 
 
 def test_image_dimension():
@@ -146,15 +146,6 @@ def test_image_dimension():
     assert image(m).dim == rank(m)
     for j in range(3):
         assert image(m).contains(m.column(j))
-
-
-def test_direct_sum_block_shape():
-    a = Mat.identity(F3, 2)
-    b = Mat.identity(F3, 3).scale(F3.q)
-    s = direct_sum([a, b])
-    assert s.rows == 5 and s.cols == 5
-    assert s.data[0][0] == F3.one and s.data[2][2] == F3.q
-    assert s.data[0][2].is_zero()
 
 
 def test_restriction_and_quotient_commute_with_inclusion():
@@ -218,11 +209,127 @@ def test_span_builder_matches_batch():
     assert sb.to_subspace() == Subspace.from_vectors(F3, 6, vecs)
 
 
-def test_subspace_sum_and_intersect():
-    e = Mat.identity(F3, 4).data
-    a = Subspace.from_vectors(F3, 4, [e[0], e[1]])
-    b = Subspace.from_vectors(F3, 4, [e[1], e[2]])
-    assert a.sum(b).dim == 3
-    inter = a.intersect(b)
-    assert inter.dim == 1
-    assert inter.contains(e[1])
+# -- property tests ------------------------------------------------------------
+
+FIELDS = {n: cyclo_field(n) for n in (3, 4)}
+PROPS = settings(max_examples=60, deadline=None)
+
+
+def _elements(F):
+    """Small elements of F, zero about a third of the time."""
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    nonzero = st.lists(coord, min_size=F.phi, max_size=F.phi).map(F.element)
+    return st.one_of(st.just(F.zero), nonzero)
+
+
+@st.composite
+def fields_and_matrices(draw, max_rows=5, max_cols=6):
+    """A field of order 3 or 4 and a matrix over it whose rank is often
+    below both of its dimensions (a product through a thin middle)."""
+    F = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    mid = draw(st.integers(1, max(rows, cols)))
+    elts = _elements(F)
+    a = Mat.from_rows(F, draw(st.lists(st.lists(elts, min_size=mid, max_size=mid),
+                                       min_size=rows, max_size=rows)))
+    b = Mat.from_rows(F, draw(st.lists(st.lists(elts, min_size=cols, max_size=cols),
+                                       min_size=mid, max_size=mid)))
+    return F, a * b
+
+
+def _combine(F, coeffs, vectors, ncols):
+    out = [F.zero] * ncols
+    for c, v in zip(coeffs, vectors):
+        out = [x + c * y for x, y in zip(out, v)]
+    return out
+
+
+@PROPS
+@given(fields_and_matrices())
+def test_rank_nullity_property(fm):
+    F, m = fm
+    ker = kernel_basis(m)
+    assert rank(m) + ker.dim == m.cols
+    for row in ker.rows:
+        assert all(x.is_zero() for x in m.apply(list(row)))
+
+
+@PROPS
+@given(fields_and_matrices(), st.randoms(use_true_random=False))
+def test_from_vectors_invariant_under_row_operations(fm, rng):
+    F, m = fm
+    vecs = [list(r) for r in m.data]
+    s1 = Subspace.from_vectors(F, m.cols, vecs)
+    mixed = list(vecs)
+    rng.shuffle(mixed)
+    units = [F.q_pow(rng.randrange(F.n)) * rng.choice([1, -2, 3]) for _ in mixed]
+    mixed = [[c * u for c in v] for v, u in zip(mixed, units)]
+    for i in range(1, len(mixed)):
+        mixed[i] = [x + F.q * y for x, y in zip(mixed[i], mixed[i - 1])]
+    mixed.append(_combine(F, [F.one] * len(vecs), vecs, m.cols))
+    assert Subspace.from_vectors(F, m.cols, mixed) == s1
+    assert s1.dim == rank(m)
+
+
+@PROPS
+@given(fields_and_matrices(), st.randoms(use_true_random=False))
+def test_span_builder_any_insertion_order(fm, rng):
+    F, m = fm
+    vecs = [list(r) for r in m.data]
+    batch = Subspace.from_vectors(F, m.cols, vecs)
+    order = list(vecs)
+    rng.shuffle(order)
+    sb = SpanBuilder(F, m.cols)
+    grew = [sb.insert(v) for v in order]
+    assert sum(grew) == batch.dim
+    assert sb.to_subspace() == batch
+
+
+@PROPS
+@given(fields_and_matrices(), st.data())
+def test_coords_rebuild_and_reduce_detects_membership(fm, data):
+    F, m = fm
+    span = Subspace.from_vectors(F, m.cols, m.data)
+    elts = _elements(F)
+    coeffs = data.draw(st.lists(elts, min_size=m.rows, max_size=m.rows))
+    inside = _combine(F, coeffs, m.data, m.cols)
+    coords = span.coords(inside)
+    assert _combine(F, coords, span.rows, m.cols) == inside
+    assert all(c.is_zero() for c in span.reduce(inside))
+    other = data.draw(st.lists(elts, min_size=m.cols, max_size=m.cols))
+    contained = rank(Mat.from_rows(F, list(m.data) + [other])) == span.dim
+    assert all(c.is_zero() for c in span.reduce(other)) == contained
+    assert span.contains(other) == contained
+    if not contained:
+        with pytest.raises(ValueError):
+            span.coords(other)
+
+
+@PROPS
+@given(fields_and_matrices(), st.data())
+def test_solve_none_exactly_when_inconsistent(fm, data):
+    F, m = fm
+    b = data.draw(st.one_of(
+        st.lists(_elements(F), min_size=m.rows, max_size=m.rows),
+        st.lists(_elements(F), min_size=m.cols, max_size=m.cols).map(m.apply),
+    ))
+    aug = Mat.from_rows(F, [list(r) + [bv] for r, bv in zip(m.data, b)])
+    x = solve(m, b)
+    assert (x is None) == (rank(aug) > rank(m))
+    if x is not None:
+        assert m.apply(x) == b
+
+
+@PROPS
+@given(fields_and_matrices(max_rows=5, max_cols=5))
+def test_invert_is_two_sided_inverse(fm):
+    F, m = fm
+    sq = Mat.from_rows(F, [r[: min(m.rows, m.cols)] for r in m.data[: min(m.rows, m.cols)]])
+    if rank(sq) < sq.rows:
+        with pytest.raises(ValueError):
+            invert(sq)
+        return
+    inv = invert(sq)
+    eye = Mat.identity(F, sq.rows)
+    assert inv * sq == eye and sq * inv == eye

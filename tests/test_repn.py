@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from hopfring.algebra import AlgebraSpec, build_algebra
 from hopfring.labels import Label
 from hopfring.repn import (
     DecompVector,
+    ModuleCatalog,
     ModuleError,
     conjugated_module,
     decompose,
@@ -344,3 +347,80 @@ def test_module_relation_check_catches_bad_action():
     }
     with pytest.raises(ModuleError):
         Module(H, acts)
+
+
+# -- the factored Cartan solve -------------------------------------------------
+
+SOLVE_CATALOGS = [("tensor_taft", None), ("hpq", 1)]
+
+
+def _cartan_rhs(cat, a, b):
+    """The (composition, top) vectors of the module a*simples + b*covers."""
+    cm = cat.cartan_matrix()
+    k = len(cat.labels)
+    cvec = [a[i] + sum(b[j] * cm[j][i] for j in range(k)) for i in range(k)]
+    tvec = [a[i] + b[i] for i in range(k)]
+    return cvec, tvec
+
+
+@pytest.mark.parametrize("fam,p", SOLVE_CATALOGS)
+def test_solve_mults_round_trip(fam, p):
+    cat = module_catalog(get(fam, 3, p))
+    k = len(cat.labels)
+    free = [not cat.self_projective(lab) for lab in cat.labels]
+    rng = random.Random(11)
+    for _ in range(40):
+        a = [rng.randint(0, 4) for _ in range(k)]
+        # copies of a self-projective simple are counted on the simple side
+        b = [rng.randint(0, 4) if f else 0 for f in free]
+        assert cat._solve_mults(*_cartan_rhs(cat, a, b)) == (a, b)
+
+
+@pytest.mark.parametrize("fam,p", SOLVE_CATALOGS)
+def test_solve_mults_rejects_negative_solutions(fam, p):
+    cat = module_catalog(get(fam, 3, p))
+    k = len(cat.labels)
+    j = next(i for i, lab in enumerate(cat.labels) if not cat.self_projective(lab))
+    a = [2] * k
+    b = [0] * k
+    b[j] = -1
+    assert cat._solve_mults(*_cartan_rhs(cat, a, b)) is None
+    # b >= 0 but more covers than tops: a comes out negative
+    b[j] = 3
+    assert cat._solve_mults(*_cartan_rhs(cat, [0] * k, b)) == ([0] * k, b)
+    cvec, tvec = _cartan_rhs(cat, [0] * k, b)
+    tvec[j] -= 1
+    cvec[j] -= 1
+    assert cat._solve_mults(cvec, tvec) is None
+
+
+def test_solve_mults_rejects_fractional_solution():
+    # every basic PIM has each simple once: C^T - I = J - I, whose inverse
+    # is J/(k-1) - I, so c - t = (1, ..., 1) solves to b = (1/8, ..., 1/8):
+    # nonnegative, and a = t - b too, but not integral
+    cat = module_catalog(get("tensor_taft", 3))
+    k = len(cat.labels)
+    assert all(v == 1 for row in cat.cartan_matrix() for v in row)
+    assert cat._solve_mults([2] * k, [1] * k) is None
+    assert cat._solve_mults([9] * k, [1] * k) == ([0] * k, [1] * k)
+
+
+def test_solve_mults_rejects_inconsistent_system():
+    # V(n, r) is its own cover and lies in no other cover: the rows of the
+    # self-projective labels are consistency conditions
+    cat = module_catalog(get("hpq", 3, 1))
+    k = len(cat.labels)
+    j = next(i for i, lab in enumerate(cat.labels) if cat.self_projective(lab))
+    cvec, tvec = _cartan_rhs(cat, [1] * k, [0] * k)
+    cvec[j] += 1
+    assert cat._solve_mults(cvec, tvec) is None
+
+
+def test_solve_mults_degenerate_cartan_raises():
+    cat = module_catalog(get("tensor_taft", 3))
+    # C = I makes C^T - I vanish on the cover columns
+    bad = ModuleCatalog(
+        cat.algebra, cat.labels, cat.simples, cat.pims, {(lab, lab): 1 for lab in cat.labels}
+    )
+    with pytest.raises(ModuleError):
+        bad._solve_mults([0] * len(cat.labels), [0] * len(cat.labels))
