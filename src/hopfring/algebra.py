@@ -72,6 +72,43 @@ class AlgebraSpec:
         return "AlgebraSpec(%s, n=%d)" % (self.family, self.n)
 
 
+def _merge(out, key, c):
+    """Add c to out[key] in a sparse dict, dropping the key when the sum is zero."""
+    acc = out.get(key)
+    s = c if acc is None else acc + c
+    if s._is0:
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _add_scaled(out, c, terms):
+    """Add c * terms into the sparse dict out (c and the values of terms nonzero)."""
+    for key, v in terms.items():
+        prod = c * v
+        acc = out.get(key)
+        s = prod if acc is None else acc + prod
+        if s._is0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+
+def _ratio(x, y):
+    """The scalar lam with x = lam * y, or None when either side is zero or
+    the two are not proportional."""
+    if x.is_zero() or y.is_zero():
+        return None
+    mono = next(iter(y.terms))
+    num = x.terms.get(mono)
+    if num is None:
+        return None
+    lam = num * y.terms[mono].inverse()
+    if x == y.scale(lam):
+        return lam
+    return None
+
+
 class AlgElt:
     """A finitely supported linear combination of PBW basis monomials."""
 
@@ -93,12 +130,7 @@ class AlgElt:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            acc = out.get(m)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+            _merge(out, m, c)
         return AlgElt(self.algebra, out)
 
     def __sub__(self, other):
@@ -114,12 +146,6 @@ class AlgElt:
 
     def __mul__(self, other):
         return self.algebra.mul(self, other)
-
-    def coeff(self, mono):
-        return self.terms.get(mono, self.algebra.field.zero)
-
-    def support(self):
-        return sorted(self.terms)
 
     def as_vector(self):
         H = self.algebra
@@ -173,7 +199,12 @@ class Algebra:
         if p is not None and not isinstance(p, CycloNum):
             p = self.field.from_rat(RAT(p))
         self.p = p
-        self._deformed = spec.family == "hpq" and p is not None and not p.is_zero()
+        # deformed: hpq with p != 0.  basic: tensor_taft and hpq with p = 0,
+        # whose simples S(i, j) and covers P(i, j) are written down directly
+        self.deformed = spec.family == "hpq" and not p.is_zero()
+        self.basic = spec.family == "tensor_taft" or (
+            spec.family == "hpq" and p.is_zero()
+        )
         self.basis = self._enumerate_basis()
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.dim = len(self.basis)
@@ -215,13 +246,6 @@ class Algebra:
         e[t] = 1
         return self.monomial(e)
 
-    def element_from_terms(self, terms):
-        out = {}
-        for m, c in terms.items():
-            if not c.is_zero():
-                out[tuple(m)] = c
-        return AlgElt(self, out)
-
     # -- rewriting product -------------------------------------------------
 
     def _lmul_gen(self, t, mono):
@@ -230,35 +254,16 @@ class Algebra:
         cached = self._gen_memo.get(key)
         if cached is not None:
             return cached
-        if self._deformed and t == 3 and mono[0] > 0:
+        if self.deformed and t == 3 and mono[0] > 0:
             # d a = q a d + p(1 - bc), applied recursively
             m1 = (mono[0] - 1,) + mono[1:]
             out = {}
             q = self.field.q_pow(1)
             for m2, c2 in self._lmul_gen(3, m1).items():
-                for m3, c3 in self._lmul_gen(0, m2).items():
-                    c = q * c2 * c3
-                    acc = out.get(m3)
-                    s = c if acc is None else acc + c
-                    if s.is_zero():
-                        out.pop(m3, None)
-                    else:
-                        out[m3] = s
-            acc = out.get(m1)
-            s = self.p if acc is None else acc + self.p
-            if s.is_zero():
-                out.pop(m1, None)
-            else:
-                out[m1] = s
+                _add_scaled(out, q * c2, self._lmul_gen(0, m2))
+            _merge(out, m1, self.p)
             for m2, c2 in self._lmul_gen(2, m1).items():
-                for m3, c3 in self._lmul_gen(1, m2).items():
-                    c = self.p * c2 * c3
-                    acc = out.get(m3)
-                    s = -c if acc is None else acc - c
-                    if s.is_zero():
-                        out.pop(m3, None)
-                    else:
-                        out[m3] = s
+                _add_scaled(out, -(self.p * c2), self._lmul_gen(1, m2))
             self._gen_memo[key] = out
             return out
         lam = self._lam
@@ -289,14 +294,7 @@ class Algebra:
             for _ in range(u[t]):
                 nxt = {}
                 for m, c in cur.items():
-                    for m2, c2 in self._lmul_gen(t, m).items():
-                        prod = c * c2
-                        acc = nxt.get(m2)
-                        s = prod if acc is None else acc + prod
-                        if s.is_zero():
-                            nxt.pop(m2, None)
-                        else:
-                            nxt[m2] = s
+                    _add_scaled(nxt, c, self._lmul_gen(t, m))
                 cur = nxt
                 if not cur:
                     break
@@ -309,15 +307,7 @@ class Algebra:
         out = {}
         for mu, cu in x.terms.items():
             for mv, cv in y.terms.items():
-                c = cu * cv
-                for m, cm in self.mono_mul(mu, mv).items():
-                    prod = c * cm
-                    acc = out.get(m)
-                    s = prod if acc is None else acc + prod
-                    if s.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
+                _add_scaled(out, cu * cv, self.mono_mul(mu, mv))
         return AlgElt(self, out)
 
     # -- counit-flavoured helpers -----------------------------------------
@@ -424,24 +414,10 @@ class Algebra:
     def _assoc_check(self, u, v, w):
         left = {}
         for m, c in self.mono_mul(u, v).items():
-            for m2, c2 in self.mono_mul(m, w).items():
-                prod = c * c2
-                acc = left.get(m2)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    left.pop(m2, None)
-                else:
-                    left[m2] = s
+            _add_scaled(left, c, self.mono_mul(m, w))
         right = {}
         for m, c in self.mono_mul(v, w).items():
-            for m2, c2 in self.mono_mul(u, m).items():
-                prod = c * c2
-                acc = right.get(m2)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    right.pop(m2, None)
-                else:
-                    right[m2] = s
+            _add_scaled(right, c, self.mono_mul(u, m))
         if left != right:
             raise AlgebraError(
                 "non-associative rewrite on (%r, %r, %r); the rule set is not confluent"

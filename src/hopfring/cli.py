@@ -16,17 +16,17 @@ import sys
 from .algebra import AlgebraSpec, build_algebra
 from .cyclo import RAT
 from .green import (
-    _fmt,
     algebra_for_family,
     class_algebra_radical,
     closed_form_fusion,
+    computed_fusion,
     fusion_table,
     identity_suite_H1,
     quiver_check_H0,
     verify_presentation,
 )
 from .hopf import tensor_iso_check, verify_hopf_axioms
-from .labels import basis_labels, parse_label
+from .labels import basis_labels, format_combination, parse_label
 from .structure import (
     blocks_isomorphic_H0,
     center_and_blocks,
@@ -160,32 +160,34 @@ def _require_abcd(family_key, what):
         raise CliError("%s applies to the families tensor-taft and hpq" % what)
 
 
-def _expected_blocks(family_key, n):
+def _blocks_check(H, family_key):
+    """Block count of the center against its expected value for the family."""
+    n = H.n
     if family_key == "tensor_taft":
-        return 1
-    if family_key == "hpq0":
-        return n
-    # every p != 0 gives an algebra isomorphic to p = 1 (rescale a to a/p)
-    return n * (n + 1) // 2
+        expected = 1
+    elif family_key == "hpq0":
+        expected = n
+    else:
+        # every p != 0 gives an algebra isomorphic to p = 1 (rescale a to a/p)
+        expected = n * (n + 1) // 2
+    rep = center_and_blocks(H)
+    rep["expected_block_count"] = expected
+    rep["status"] = "pass" if rep["block_count"] == expected else "fail"
+    return rep
 
 
 def _fusion_subset_check(family, n, predicate, seed=0):
     """Crosscheck closed form vs matrix oracle on a subset of label pairs."""
-    from .repn import decompose, module_catalog, tensor_module
-    from .green import _catalog_module, _decomp_to_dict
+    from .repn import module_catalog
 
-    H = algebra_for_family(family, n)
-    cat = module_catalog(H, seed=seed)
+    cat = module_catalog(algebra_for_family(family, n), seed=seed)
     labels = basis_labels(family, n)
     checked = 0
     for a in labels:
         for b in labels:
             if not predicate(a, b):
                 continue
-            closed = closed_form_fusion(family, n, a, b)
-            m = tensor_module(_catalog_module(cat, a), _catalog_module(cat, b))
-            computed = _decomp_to_dict(decompose(m, H))
-            if closed != computed:
+            if closed_form_fusion(family, n, a, b) != computed_fusion(cat, a, b):
                 return {
                     "family": family,
                     "n": n,
@@ -197,7 +199,7 @@ def _fusion_subset_check(family, n, predicate, seed=0):
 
 
 def _loewy_for(H):
-    if H.spec.family == "hpq" and not H.p.is_zero():
+    if H.deformed:
         # max Loewy length over the projective covers (H is their direct sum)
         from .repn import module_catalog, radical_filtration
 
@@ -313,12 +315,7 @@ def _run_target(target, n, family_key, seed):
         return quiver_check_H0(n)
     if target == "blocks":
         _require_abcd(family_key, "verify blocks")
-        H = _build(family_key, n)
-        rep = center_and_blocks(H)
-        expected = _expected_blocks(family_key, n)
-        rep["expected_block_count"] = expected
-        rep["status"] = "pass" if rep["block_count"] == expected else "fail"
-        return rep
+        return _blocks_check(_build(family_key, n), family_key)
     if target == "tensor-iso":
         return tensor_iso_check(n)
     raise CliError("unknown verify target %r" % (target,))
@@ -363,11 +360,8 @@ def cmd_algebra_verify(args):
 
     def loewy():
         value = _loewy_for(H)
-        basic = H.spec.family == "tensor_taft" or (
-            H.spec.family == "hpq" and H.p.is_zero()
-        )
         # deformed: each 2n-dimensional PIM has a top, a middle and a socle layer
-        ok = value == (2 * args.n - 1 if basic else 3)
+        ok = value == (2 * args.n - 1 if H.basic else 3)
         return {"check": "loewy_length", "value": value, "status": "pass" if ok else "fail"}
 
     def integrals():
@@ -378,12 +372,7 @@ def cmd_algebra_verify(args):
         return rep
 
     def blocks():
-        rep = center_and_blocks(H)
-        rep["check"] = "blocks"
-        expected = _expected_blocks(family_key, args.n)
-        rep["expected_block_count"] = expected
-        rep["status"] = "pass" if rep["block_count"] == expected else "fail"
-        return rep
+        return dict(_blocks_check(H, family_key), check="blocks")
 
     reports = [check() for check in (axioms, radical, loewy, integrals, blocks)]
     return _wrap(args, "algebra verify", reports)
@@ -423,24 +412,20 @@ def cmd_fuse(args):
         reports.append(
             {
                 "mode": "closed_form",
-                "result": _fmt(closed),
+                "result": format_combination(closed),
                 "status": "pass",
             }
         )
     if args.mode in ("computed", "both"):
-        from .repn import decompose, module_catalog, tensor_module
-        from .green import _catalog_module, _decomp_to_dict
+        from .repn import module_catalog
 
-        H = _build(family_key, args.n)
-        cat = module_catalog(H, seed=args.seed)
-        computed = _decomp_to_dict(
-            decompose(tensor_module(_catalog_module(cat, a), _catalog_module(cat, b)), H)
-        )
+        cat = module_catalog(_build(family_key, args.n), seed=args.seed)
+        computed = computed_fusion(cat, a, b)
         status = "pass"
         if closed is not None and computed != closed:
             status = "fail"
         reports.append(
-            {"mode": "computed", "result": _fmt(computed), "status": status}
+            {"mode": "computed", "result": format_combination(computed), "status": status}
         )
     return _wrap(args, "fuse", reports)
 

@@ -91,9 +91,6 @@ class TableAlgebra:
             self._radical = bilinear_radical(self.gram())
         return self._radical
 
-    def semisimple_quotient_dim(self):
-        return self.dim - self.radical().dim
-
     def is_idempotent(self, x):
         return self.mul_vec(x, x) == list(x)
 
@@ -160,6 +157,4 @@ class TableAlgebra:
         if self.unit is not None:
             red = ideal.reduce(list(self.unit))
             unit = [red[c] for c in comp]
-        quo = TableAlgebra(field, len(comp), product, unit=unit)
-        quo._section = comp
-        return quo
+        return TableAlgebra(field, len(comp), product, unit=unit)

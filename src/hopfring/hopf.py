@@ -11,7 +11,14 @@ from __future__ import annotations
 import random
 import time
 
-from .algebra import AlgebraSpec, build_algebra, defining_relations, eval_relation
+from .algebra import (
+    AlgebraSpec,
+    _add_scaled,
+    _merge,
+    build_algebra,
+    defining_relations,
+    eval_relation,
+)
 from .cyclo import q_factorial
 
 __all__ = [
@@ -23,13 +30,18 @@ __all__ = [
 ]
 
 
-def _merge(out, key, c):
-    acc = out.get(key)
-    s = c if acc is None else acc + c
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
+def _pair_mul(A, B, x, y):
+    """Product of two sparse elements of A tensor B (componentwise, no braiding);
+    keys are (A monomial, B monomial) pairs."""
+    out = {}
+    for (l1, r1), c1 in x.items():
+        for (l2, r2), c2 in y.items():
+            c = c1 * c2
+            for ml, cl in A.mono_mul(l1, l2).items():
+                ccl = c * cl
+                for mr, cr in B.mono_mul(r1, r2).items():
+                    _merge(out, (ml, mr), ccl * cr)
+    return out
 
 
 class HopfMaps:
@@ -74,17 +86,8 @@ class HopfMaps:
     # -- elementwise maps ---------------------------------------------------
 
     def tensor_mul(self, x, y):
-        """Product in H tensor H (componentwise, no braiding)."""
-        H = self.H
-        out = {}
-        for (l1, r1), c1 in x.items():
-            for (l2, r2), c2 in y.items():
-                c = c1 * c2
-                for ml, cl in H.mono_mul(l1, l2).items():
-                    ccl = c * cl
-                    for mr, cr in H.mono_mul(r1, r2).items():
-                        _merge(out, (ml, mr), ccl * cr)
-        return out
+        """Product in H tensor H."""
+        return _pair_mul(self.H, self.H, x, y)
 
     def delta_mono(self, mono):
         cached = self._delta_memo.get(mono)
@@ -112,8 +115,7 @@ class HopfMaps:
     def delta(self, elt):
         out = {}
         for m, c in elt.terms.items():
-            for key, c2 in self.delta_mono(m).items():
-                _merge(out, key, c * c2)
+            _add_scaled(out, c, self.delta_mono(m))
         return out
 
     def counit(self, elt):
@@ -176,12 +178,10 @@ class HopfMaps:
         for (v, w), c in self.delta_mono(mono).items():
             sv = self.antipode_mono(v)
             for mv, cv in sv.terms.items():
-                for m2, c2 in H.mono_mul(mv, w).items():
-                    _merge(lhs, m2, c * cv * c2)
+                _add_scaled(lhs, c * cv, H.mono_mul(mv, w))
             sw = self.antipode_mono(w)
             for mw, cw in sw.terms.items():
-                for m2, c2 in H.mono_mul(v, mw).items():
-                    _merge(rhs, m2, c * cw * c2)
+                _add_scaled(rhs, c * cw, H.mono_mul(v, mw))
         eps = H.counit_mono(mono)
         expect = {} if eps.is_zero() else {self._unit: eps}
         return lhs == expect and rhs == expect
@@ -248,14 +248,13 @@ def hopf_maps(H):
 
 
 class HopfReport:
-    def __init__(self, family, n, p, checked, failures, relation_failures, elapsed):
+    def __init__(self, family, n, p, checked, failures, relation_failures):
         self.family = family
         self.n = n
         self.p = p
         self.checked = checked
         self.failures = failures
         self.relation_failures = relation_failures
-        self.elapsed = elapsed
 
     @property
     def ok(self):
@@ -283,7 +282,6 @@ def verify_hopf_axioms(H, elements=None, sample=None, seed=0):
     With ``elements=None`` and no sample size the whole PBW basis is swept;
     a seeded sample is used for the larger orders.
     """
-    t0 = time.perf_counter()
     maps = hopf_maps(H)
     if elements is None:
         if sample is None:
@@ -301,10 +299,7 @@ def verify_hopf_axioms(H, elements=None, sample=None, seed=0):
             failures.append(("antipode", mono))
     rel_failures = maps.respects_relations()
     p = H.p.serialize() if H.p is not None else None
-    return HopfReport(
-        H.spec.family, H.n, p, len(elements), failures, rel_failures,
-        time.perf_counter() - t0,
-    )
+    return HopfReport(H.spec.family, H.n, p, len(elements), failures, rel_failures)
 
 
 def skew_pairing_tau(field, p, left, right):
@@ -335,17 +330,6 @@ def tensor_iso_check(n, assoc_sample=200):
     f = H.field
     unit1, unit2 = (0, 0), (0, 0)
 
-    def pair_mul(x, y):
-        out = {}
-        for (l1, r1), c1 in x.items():
-            for (l2, r2), c2 in y.items():
-                c = c1 * c2
-                for ml, cl in T1.mono_mul(l1, l2).items():
-                    ccl = c * cl
-                    for mr, cr in T2.mono_mul(r1, r2).items():
-                        _merge(out, (ml, mr), ccl * cr)
-        return out
-
     images = {
         0: {(unit1, (0, 1)): f.one},  # a -> 1 (x) x1
         1: {(unit1, (1, 0)): f.one},  # b -> 1 (x) g1
@@ -361,7 +345,7 @@ def tensor_iso_check(n, assoc_sample=200):
         out = {(unit1, unit2): f.one}
         for t in range(4):
             for _ in range(mono[t]):
-                out = pair_mul(out, images[t])
+                out = _pair_mul(T1, T2, out, images[t])
         phi_memo[mono] = out
         return out
 
@@ -390,9 +374,8 @@ def tensor_iso_check(n, assoc_sample=200):
         for v in H.basis:
             lhs = {}
             for m, c in H.mono_mul(u, v).items():
-                for pair, c2 in phi(m).items():
-                    _merge(lhs, pair, c * c2)
-            rhs = pair_mul(phi(u), phi(v))
+                _add_scaled(lhs, c, phi(m))
+            rhs = _pair_mul(T1, T2, phi(u), phi(v))
             if lhs != rhs:
                 fail("product-mismatch", [list(u), list(v)])
                 report["first_product_mismatch"] = [list(u), list(v)]
@@ -427,8 +410,7 @@ def tensor_iso_check(n, assoc_sample=200):
     for u in H.basis:
         lhs = {}
         for m, c in mH.antipode_mono(u).terms.items():
-            for pair, c2 in phi(m).items():
-                _merge(lhs, pair, c * c2)
+            _add_scaled(lhs, c, phi(m))
         rhs = {}
         for (mA, mB), c in phi(u).items():
             sA = m1.antipode_mono(mA)

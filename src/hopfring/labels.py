@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["Label", "parse_label", "basis_labels", "label_dim"]
+__all__ = ["Label", "parse_label", "basis_labels", "label_dim", "format_combination"]
 
 _KIND_ORDER = {"S": 0, "V": 0, "P": 1, "Pr": 1}
 
@@ -86,6 +86,15 @@ def basis_labels(family, n):
         out += [Label("Pr", l, r) for l in range(1, n) for r in range(n)]
         return out
     raise ValueError("unknown family %r" % (family,))
+
+
+def format_combination(d):
+    """An integer combination of classes (label -> multiplicity) as text."""
+    if not d:
+        return "0"
+    return " + ".join(
+        ("%d*%s" % (m, l)) if m != 1 else str(l) for l, m in sorted(d.items())
+    )
 
 
 def label_dim(label, n):

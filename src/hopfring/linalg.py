@@ -97,8 +97,8 @@ def rref_rows(vectors, field, ncols):
         _clear_column(work + done, prow, col, ncols)
         done.append(prow)
         pivots.append(col)
-        # columns up to col are now zero in every remaining row
-        work = [r for r in work if any(not c._is0 for c in r[col + 1:])]
+        # rows that became zero stay in work: no column picks them as a
+        # pivot, and _clear_column skips them
         if not work:
             break
     order = sorted(range(len(done)), key=lambda i: pivots[i])

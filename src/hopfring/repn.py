@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import defining_relations
+from .algebra import _add_scaled, _ratio, defining_relations
 from .labels import Label
 from .linalg import (
     Mat,
@@ -67,14 +67,7 @@ def _sparse_mul(a_rows, b_rows):
     for arow in a_rows:
         acc = {}
         for k, av in arow.items():
-            for j, bv in b_rows[k].items():
-                cur = acc.get(j)
-                prod = av * bv
-                s = prod if cur is None else cur + prod
-                if s._is0:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = s
+            _add_scaled(acc, av, b_rows[k])
         out.append(acc)
     return out
 
@@ -91,23 +84,16 @@ def check_module_relations(H, acts):
     sparse = [_sparse_rows(m) for m in acts]
     eye = [{i: H.field.one} for i in range(dim)]
     for name, terms in defining_relations(H):
-        total = {}
+        total = [{} for _ in range(dim)]
         for coeff, word in terms:
             if coeff._is0:
                 continue
             m = eye
             for t in reversed(word):
                 m = _sparse_mul(sparse[t], m)
-            for i, row in enumerate(m):
-                for j, v in row.items():
-                    key = (i, j)
-                    acc = total.get(key)
-                    s = coeff * v if acc is None else acc + coeff * v
-                    if s._is0:
-                        total.pop(key, None)
-                    else:
-                        total[key] = s
-        if total:
+            for acc, row in zip(total, m):
+                _add_scaled(acc, coeff, row)
+        if any(total):
             failures.append(name)
     return failures
 
@@ -211,7 +197,7 @@ def regular_representation(H):
 
 def simple_S(i, j, H):
     """The one-dimensional module with b, c eigenvalues q^i, q^j and a = d = 0."""
-    if H.spec.family == "hpq" and not H.p.is_zero():
+    if H.deformed:
         raise ModuleError("simple_S applies to the undeformed families")
     f = H.field
     n = H.n
@@ -235,23 +221,7 @@ def module_from_vectors(H, vectors, label=None):
         if not span.insert(v.as_vector()):
             raise ModuleError("generating vectors are dependent")
     sub = span.to_subspace()
-    weights = []
-    for v in vectors:
-        vec = v.as_vector()
-        bimg = (H.gen("b") * v).as_vector()
-        cimg = (H.gen("c") * v).as_vector()
-        f = H.field
-        found = None
-        for i in range(H.n):
-            if bimg == [c * f.q_pow(i) for c in vec]:
-                for j in range(H.n):
-                    if cimg == [c * f.q_pow(j) for c in vec]:
-                        found = (i, j)
-                        break
-                break
-        if found is None:
-            raise ModuleError("basis vector is not a weight vector")
-        weights.append(found)
+    weights = [_left_weight(H, v) for v in vectors]
     # coordinates of g*v_k in the chosen basis, through the echelon coordinates
     m = len(vectors)
     cob_cols = [sub.coords(v.as_vector()) for v in vectors]
@@ -270,7 +240,7 @@ def module_from_vectors(H, vectors, label=None):
 
 def projective_P(i, j, H):
     """The projective indecomposable H e(i,j) on the basis a^k d^l e(i,j)."""
-    if H.spec.family == "hpq" and not H.p.is_zero():
+    if H.deformed:
         raise ModuleError("projective_P applies to the undeformed families")
     n = H.n
     es = H.group_idempotents()
@@ -305,26 +275,12 @@ def pim_arrow_scalars(i, j, H):
         img = a * v
         if k + 1 < n:
             target = basis[(k + 1, l)]
-            solid[(k, l)] = _scalar_ratio(img, target)
+            solid[(k, l)] = _ratio(img, target)
         img = d * v
         if l + 1 < n:
             target = basis[(k, l + 1)]
-            dashed[(k, l)] = _scalar_ratio(img, target)
+            dashed[(k, l)] = _ratio(img, target)
     return solid, dashed
-
-
-def _scalar_ratio(x, y):
-    """The scalar making x = scalar * y (None if not proportional)."""
-    if x.is_zero():
-        return x.algebra.field.zero
-    mono = next(iter(y.terms))
-    num = x.terms.get(mono)
-    if num is None:
-        return None
-    ratio = num * y.terms[mono].inverse()
-    if x == y.scale(ratio):
-        return ratio
-    return None
 
 
 def tensor_module(M, N, check=True):
@@ -613,22 +569,17 @@ def spin_module(H, seeds, label=None):
 def _left_weight(H, v):
     """Weight of a left-multiplication eigenvector of the regular module."""
     f = H.field
-    mono = next(iter(v.terms))
     out = []
     for name in ("b", "c"):
-        img = H.gen(name) * v
-        num = img.terms.get(mono)
-        if num is None:
+        ratio = _ratio(H.gen(name) * v, v)
+        if ratio is None:
             raise ModuleError("vector is not a weight vector")
-        ratio = num * v.terms[mono].inverse()
         for k in range(H.n):
             if f.q_pow(k) == ratio:
                 out.append(k)
                 break
         else:
             raise ModuleError("eigenvalue is not a power of q")
-        if img != v.scale(ratio):
-            raise ModuleError("vector is not a weight vector")
     return tuple(out)
 
 
@@ -739,8 +690,7 @@ class ModuleCatalog:
         """[M : S] for every simple S, in label order."""
         labs = self.labels
         H = self.algebra
-        basic = H.spec.family == "tensor_taft" or H.p.is_zero()
-        if basic and not via_hom:
+        if H.basic and not via_hom:
             wd = _weight_dims(M)
             return [wd.get((lab.a, lab.b), 0) for lab in labs]
         inv = None if via_hom else self.char_inverse()
@@ -757,9 +707,6 @@ class ModuleCatalog:
                 out.append(x)
             return out
         return [hom_dim(self.pims[lab], M).dim for lab in labs]
-
-    def top_vector(self, M):
-        return [hom_dim(M, self.simples[lab]).dim for lab in self.labels]
 
 
 def _basic_catalog(H):
@@ -811,7 +758,7 @@ def _h1_discover_simples(H):
     return simples
 
 
-def _h1_discover_pims(H, simples, seed):
+def _h1_discover_pims(H, simples):
     """Split each H e(i,j) into indecomposable summands with simple tops.
 
     The splitting is a deterministic Fitting decomposition: a primitive
@@ -1006,11 +953,11 @@ def _h1_calibrate_labels(H, simples):
     return label_of
 
 
-def _h1_catalog(H, seed=0):
+def _h1_catalog(H):
     n = H.n
     simples = _h1_discover_simples(H)
     label_of = _h1_calibrate_labels(H, simples)
-    covers = _h1_discover_pims(H, simples, seed)
+    covers = _h1_discover_pims(H, simples)
     labels = [Label("V", l, r) for l in range(1, n + 1) for r in range(n)]
     simple_map = {}
     pim_map = {}
@@ -1036,14 +983,18 @@ def _h1_catalog(H, seed=0):
 
 
 def module_catalog(H, seed=0):
-    """Simples, projective covers and the Cartan matrix of H (cached)."""
+    """Simples, projective covers and the Cartan matrix of H (cached).
+
+    Every catalog is built deterministically; ``seed`` is accepted from
+    callers that thread one through and changes nothing.
+    """
     cached = getattr(H, "_catalog", None)
     if cached is not None:
         return cached
-    if H.spec.family == "tensor_taft" or (H.spec.family == "hpq" and H.p.is_zero()):
+    if H.basic:
         cat = _basic_catalog(H)
-    elif H.spec.family == "hpq":
-        cat = _h1_catalog(H, seed)
+    elif H.deformed:
+        cat = _h1_catalog(H)
     else:
         raise ModuleError("module catalogs exist for the abcd families only")
     H._catalog = cat

@@ -91,14 +91,21 @@ def jacobson_radical(H):
 
 
 def monomial_ideal_span(H, predicate):
-    """Canonical subspace spanned by the PBW monomials satisfying a predicate."""
+    """Canonical subspace spanned by the PBW monomials satisfying a predicate.
+
+    The unit vectors of the chosen monomials, in basis order, are already in
+    reduced echelon form, with pivots at their own indices.
+    """
+    z, one = H.field.zero, H.field.one
     vecs = []
-    for m in H.basis:
+    pivots = []
+    for idx, m in enumerate(H.basis):
         if predicate(m):
-            v = [H.field.zero] * H.dim
-            v[H.index[m]] = H.field.one
+            v = [z] * H.dim
+            v[idx] = one
             vecs.append(v)
-    return Subspace.from_vectors(H.field, H.dim, vecs)
+            pivots.append(idx)
+    return Subspace(H.field, H.dim, vecs, pivots)
 
 
 def radical_ideal_generators(H):
@@ -108,7 +115,7 @@ def radical_ideal_generators(H):
     both generators normalize the algebra (aH = Ha), so powers of J are
     obtained by right multiplication alone.
     """
-    if H.spec.family == "tensor_taft" or (H.spec.family == "hpq" and H.p.is_zero()):
+    if H.basic:
         return [H.gen("a"), H.gen("d")]
     return None
 
@@ -155,7 +162,7 @@ def radical_report(H, check_quotient=True):
         "semisimple_dim": H.dim - J.dim,
     }
     report["loewy_length"] = loewy_length(H)
-    if H.spec.family == "tensor_taft" or (H.spec.family == "hpq" and H.p.is_zero()):
+    if H.basic:
         expected = monomial_ideal_span(H, lambda m: m[0] + m[3] >= 1)
         report["equals_ideal_generated_by_a_d"] = J == expected
     if check_quotient:

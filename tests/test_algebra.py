@@ -1,8 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfring.algebra import AlgebraError, AlgebraSpec, build_algebra
+from hopfring.algebra import (
+    AlgebraError,
+    AlgebraSpec,
+    _add_scaled,
+    _merge,
+    _ratio,
+    build_algebra,
+)
+from hopfring.cyclo import cyclo_field
 from hopfring.linalg import Mat
 
 
@@ -191,3 +200,86 @@ def test_serialize_readable():
     x = H.monomial((1, 0, 0, 1)) + H.monomial((0, 2, 0, 0), H.field.q)
     s = x.serialize()
     assert "ad" in s and "b^2" in s
+
+
+@pytest.mark.parametrize(
+    "family, p, basic, deformed",
+    [
+        ("taft", None, False, False),
+        ("taft_opp", None, False, False),
+        ("tensor_taft", None, True, False),
+        ("hpq", 0, True, False),
+        ("hpq", 1, False, True),
+        ("hpq", 2, False, True),
+    ],
+)
+def test_family_flags(family, p, basic, deformed):
+    H = get(family, 3, p)
+    assert H.basic is basic
+    assert H.deformed is deformed
+
+
+def test_ratio():
+    H = get("hpq", 3, 1)
+    q = H.field.q
+    y = H.gen("a") * H.gen("d") + H.monomial((0, 1, 2, 0), q)
+    assert _ratio(y.scale(q), y) == q
+    assert _ratio(y, y) == H.field.one
+    # proportional on y's first monomial, but not on the second
+    x = H.gen("a") * H.gen("d") + H.monomial((0, 1, 2, 0))
+    assert _ratio(x, y) is None
+    assert _ratio(H.gen("b"), y) is None
+    assert _ratio(H.zero_elt, y) is None
+    assert _ratio(y, H.zero_elt) is None
+    assert _ratio(H.zero_elt, H.zero_elt) is None
+
+
+# -- sparse merge helpers against a dense reference ------------------------------
+
+F3 = cyclo_field(3)
+KEYS = 3
+_coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+_elts = st.lists(_coord, min_size=F3.phi, max_size=F3.phi).map(F3.element)
+# the sixth roots of unity are closed under products, so sums cancel often
+_units = st.sampled_from([F3.q_pow(i) for i in range(3)] + [-F3.q_pow(i) for i in range(3)])
+_nonzero = st.one_of(_units, _units, _elts.filter(lambda c: not c.is_zero()))
+_sparse = st.dictionaries(st.integers(0, KEYS - 1), _nonzero, max_size=KEYS)
+
+
+def _dense(d):
+    v = [F3.zero] * KEYS
+    for k, c in d.items():
+        v[k] = v[k] + c
+    return v
+
+
+def _check_sparse(out, dense):
+    assert all(not c.is_zero() for c in out.values())
+    assert out == {k: c for k, c in enumerate(dense) if not c.is_zero()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse, st.lists(st.tuples(st.integers(0, KEYS - 1), _nonzero), max_size=12))
+def test_merge_matches_dense(start, updates):
+    out = dict(start)
+    dense = _dense(start)
+    for k, c in updates:
+        _merge(out, k, c)
+        dense[k] = dense[k] + c
+    _check_sparse(out, dense)
+    for k, c in list(out.items()):
+        _merge(out, k, -c)
+    assert out == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse, st.lists(st.tuples(_nonzero, _sparse), max_size=6))
+def test_add_scaled_matches_dense(start, updates):
+    out = dict(start)
+    dense = _dense(start)
+    for c, terms in updates:
+        _add_scaled(out, c, terms)
+        dense = [a + c * b for a, b in zip(dense, _dense(terms))]
+    _check_sparse(out, dense)
+    _add_scaled(out, -F3.one, dict(out))
+    assert out == {}

@@ -149,6 +149,26 @@ def test_verify_quiver(capsys):
     assert doc["reports"][0]["arrows_per_block"] == 6
 
 
+def test_quiver_scalar_gate_can_fail(capsys, monkeypatch):
+    from hopfring import green
+
+    real = green._ratio
+
+    def squared(x, y):
+        lam = real(x, y)
+        return None if lam is None else lam * lam
+
+    monkeypatch.setattr(green, "_ratio", squared)
+    code, out = run(capsys, "verify", "quiver4", "--n", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    rep = doc["reports"][0]
+    assert rep["status"] == "fail"
+    assert rep["scalar_is_q_uniformly"] is False
+    assert rep["crown_shape"] is True
+
+
 def test_algebra_verify_hpq1(capsys):
     code, out = run(
         capsys, "algebra", "verify", "--family", "hpq", "--p", "1", "--n", "3"
