@@ -213,6 +213,7 @@ class Algebra:
         self._pair_memo = {}
         self._idempotents = None
         self._radical = None
+        self._loewy = None
         self._regular = None
         self.one = AlgElt(self, {self._unit: self.field.one})
         self.zero_elt = AlgElt(self, {})
@@ -521,7 +522,9 @@ def build_algebra(spec, assoc_sample=500, seed=0):
     """Build (and cache) the algebra for a spec; fails loudly on bad rewrites."""
     if not isinstance(spec, AlgebraSpec):
         raise AlgebraError("build_algebra expects an AlgebraSpec")
-    key = spec.key()
+    # the self-check depth and seed are part of the key: a caller never gets
+    # an algebra checked less deeply than it asked for
+    key = (spec.key(), assoc_sample, seed)
     alg = _CACHE.get(key)
     if alg is None:
         alg = Algebra(spec, assoc_sample=assoc_sample, seed=seed)

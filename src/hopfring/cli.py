@@ -360,8 +360,9 @@ def cmd_algebra_verify(args):
 
     def loewy():
         value = _loewy_for(H)
-        # deformed: each 2n-dimensional PIM has a top, a middle and a socle layer
-        ok = value == (2 * args.n - 1 if H.basic else 3)
+        # deformed: each 2n-dimensional PIM has a top, a middle and a socle
+        # layer, and the PIM filtrations must agree with the trace-form radical
+        ok = value == (2 * args.n - 1 if H.basic else 3) and value == loewy_length(H)
         return {"check": "loewy_length", "value": value, "status": "pass" if ok else "fail"}
 
     def integrals():

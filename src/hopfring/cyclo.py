@@ -121,6 +121,13 @@ class CycloField:
         self.one = self.from_int(1)
         self.q = CycloNum(self, tuple(1 if i == 1 else 0 for i in range(self.phi)), 1)
         self._qpow = None
+        # the Galois automorphisms z -> z^k, k coprime to n and k != 1, each
+        # as the integer columns sigma(z^i), i < phi, in the power basis
+        self._conj = [
+            tuple(self.q_pow(i * k).nums for i in range(self.phi))
+            for k in range(2, n)
+            if gcd(k, n) == 1
+        ]
 
     def __repr__(self):
         return "CycloField(%d)" % self.n
@@ -304,39 +311,30 @@ class CycloNum:
         )
 
     def inverse(self):
-        """Exact inverse via the extended Euclidean algorithm on Q[x]."""
+        """Exact inverse: x^-1 = den * prod(sigma(nums)) / N over the Galois
+        automorphisms sigma != 1, where N = nums * prod(sigma(nums)) is the
+        norm of nums.  Q(zeta_n) has no real embedding for n >= 3, so N is a
+        product of squared absolute values: a positive integer.  Integers
+        only."""
         if self._is0:
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.field.n)
-        # invariants: s0*self + t0*Phi = r0, with polynomials over Q
-        r0 = list(self.coeffs)
-        while r0 and not r0[-1]:
-            r0.pop()
-        r1 = list(self.field.modulus)
-        s0, s1 = [R1], []
-        while len(r1) > 1 or (r1 and r1[0]):
-            quot, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            prod = [R0] * (len(quot) + len(s1) - 1) if s1 else []
-            for i, qi in enumerate(quot):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        if sj:
-                            prod[i + j] += qi * sj
-            news = list(prod) if prod else []
-            m = max(len(s0), len(news))
-            s0, s1 = s1, [
-                (s0[i] if i < len(s0) else R0) - (news[i] if i < len(news) else R0)
-                for i in range(m)
-            ]
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with modulus not constant")
-        c = r0[0]
-        inv = [si / c for si in s0]
-        phi = self.field.phi
-        if len(inv) > phi:  # Bezout coefficient has degree < deg Phi_n
-            raise ArithmeticError("inverse degree out of range")
-        inv += [R0] * (phi - len(inv))
-        return _from_fractions(self.field, inv)
+        field = self.field
+        a = self.nums
+        phi = len(a)
+        y = None
+        for cols in field._conj:
+            s = [0] * phi
+            for c, col in zip(a, cols):
+                if c:
+                    for j, v in enumerate(col):
+                        if v:
+                            s[j] += c * v
+            t = CycloNum(field, tuple(s), 1)
+            y = t if y is None else y * t
+        norm = (CycloNum(field, a, 1) * y).as_int()
+        if norm is None or norm <= 0:
+            raise ArithmeticError("norm of %s is not a positive integer" % self)
+        return _reduced(field, tuple([self.den * c for c in y.nums]), norm)
 
     def __truediv__(self, other):
         return self * other.inverse()

@@ -9,6 +9,7 @@ they are canonical and comparable by equality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 
 __all__ = [
@@ -93,7 +94,7 @@ def rref_rows(vectors, field, ncols):
         pv = prow[col]
         if not pv.is_one():
             inv = pv.inverse()
-            prow = [c * inv for c in prow]
+            prow = [c if c._is0 else c * inv for c in prow]
         _clear_column(work + done, prow, col, ncols)
         done.append(prow)
         pivots.append(col)
@@ -339,11 +340,9 @@ class SpanBuilder:
         pv = v[lead]
         if not pv.is_one():
             inv = pv.inverse()
-            v = [c * inv for c in v]
+            v = [c if c._is0 else c * inv for c in v]
         _clear_column(self.rows, v, lead, self.ambient)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < lead:
-            pos += 1
+        pos = bisect_left(self.pivots, lead)
         self.rows.insert(pos, v)
         self.pivots.insert(pos, lead)
         return True

@@ -109,6 +109,7 @@ class Module:
         self.weights = weights  # per-basis-vector (i, j) when the basis is a weight basis
         self._weightized = None
         self._mono_act = {}
+        self._radical_mats = None
         self._gen_pows = None
         if check and self.dim:
             mats = [acts[name] for name in H.letters]
@@ -144,11 +145,12 @@ class Module:
 
     def act_elt(self, elt):
         """Matrix of an algebra element (cached per PBW monomial)."""
-        H = self.algebra
-        out = Mat.zeros(H.field, self.dim, self.dim)
+        out = Mat.zeros(self.algebra.field, self.dim, self.dim)
         for mono, c in elt.terms.items():
-            m = self._mono_matrix(mono)
-            out = out + m.scale(c)
+            for orow, mrow in zip(out.data, self._mono_matrix(mono).data):
+                for j, v in enumerate(mrow):
+                    if not v._is0:
+                        orow[j] = orow[j] + v * c
         return out
 
     def _mono_matrix(self, mono):
@@ -485,14 +487,15 @@ def submodule_restriction(M, sub):
 def radical_submodule(M, sub=None):
     """J * X inside M (X given as a Subspace, default the whole module)."""
     H = M.algebra
-    gens = radical_ideal_generators(H)
     sb = SpanBuilder(H.field, M.dim)
     base_rows = sub.rows if sub is not None else Mat.identity(H.field, M.dim).data
-    if gens is not None:
-        mats = [M.act_elt(g) for g in gens]
-    else:
-        J = jacobson_radical(H)
-        mats = [M.act_elt(_vector_to_elt(H, row)) for row in J.rows]
+    mats = M._radical_mats
+    if mats is None:
+        # the action of J's generators, or of its whole basis, kept on M
+        gens = radical_ideal_generators(H)
+        if gens is None:
+            gens = [_vector_to_elt(H, row) for row in jacobson_radical(H).rows]
+        mats = M._radical_mats = [M.act_elt(g) for g in gens]
     for mat in mats:
         for row in base_rows:
             sb.insert(mat.apply(list(row)))

@@ -121,11 +121,17 @@ def radical_ideal_generators(H):
 
 
 def _vector_to_elt(H, vec):
-    return AlgElt(H, {H.basis[idx]: c for idx, c in enumerate(vec) if not c.is_zero()})
+    return AlgElt(H, {H.basis[idx]: c for idx, c in enumerate(vec) if not c._is0})
 
 
 def loewy_length(H):
-    """Least m with J^m = 0."""
+    """Least m with J^m = 0 (computed once per algebra)."""
+    if H._loewy is None:
+        H._loewy = _loewy_length(H)
+    return H._loewy
+
+
+def _loewy_length(H):
     J = jacobson_radical(H)
     if J.dim == 0:
         return 1

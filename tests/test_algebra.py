@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfring import algebra
 from hopfring.algebra import (
     AlgebraError,
     AlgebraSpec,
@@ -283,3 +284,24 @@ def test_add_scaled_matches_dense(start, updates):
     _check_sparse(out, dense)
     _add_scaled(out, -F3.one, dict(out))
     assert out == {}
+
+
+def test_build_cache_keys_on_self_check_depth(monkeypatch):
+    depths = []
+    real = algebra.Algebra._self_check
+
+    def recording(self, assoc_sample, seed):
+        depths.append((assoc_sample, seed))
+        return real(self, assoc_sample, seed)
+
+    monkeypatch.setattr(algebra, "_CACHE", {})
+    monkeypatch.setattr(algebra.Algebra, "_self_check", recording)
+    spec = AlgebraSpec("tensor_taft", 3)
+    shallow = build_algebra(spec, assoc_sample=200)
+    default = build_algebra(AlgebraSpec("tensor_taft", 3))
+    assert default is not shallow
+    assert depths == [(200, 0), (500, 0)]
+    assert build_algebra(spec) is default
+    assert build_algebra(spec, assoc_sample=200) is shallow
+    assert build_algebra(spec, assoc_sample=200, seed=1) is not shallow
+    assert depths == [(200, 0), (500, 0), (200, 1)]

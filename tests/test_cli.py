@@ -200,6 +200,29 @@ def test_deformed_loewy_gate_can_fail(capsys, monkeypatch):
     assert checks["loewy_length"] == {"check": "loewy_length", "value": 4, "status": "fail"}
 
 
+def test_loewy_gate_crosschecks_trace_form_deformed(capsys, monkeypatch):
+    # the PIM filtrations give 3; a trace-form value of 4 must not pass
+    monkeypatch.setattr(cli, "loewy_length", lambda H: 4)
+    code, out = run(
+        capsys, "algebra", "verify", "--family", "hpq", "--p", "1", "--n", "3"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    checks = {r["check"]: r for r in doc["reports"]}
+    assert checks["loewy_length"] == {"check": "loewy_length", "value": 3, "status": "fail"}
+
+
+def test_loewy_gate_can_fail_tensor_taft(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "loewy_length", lambda H: 2 * H.n)
+    code, out = run(capsys, "algebra", "verify", "--family", "tensor-taft", "--n", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    checks = {r["check"]: r for r in doc["reports"]}
+    assert checks["loewy_length"] == {"check": "loewy_length", "value": 6, "status": "fail"}
+
+
 def test_blocks_expected_for_any_nonzero_p(capsys, monkeypatch):
     args = ["verify", "blocks", "--n", "3", "--family", "hpq", "--p", "1/2"]
     code, out = run(capsys, *args)

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfring import cyclo
 from hopfring.cyclo import RAT, _poly_divmod, cyclo_field, q_factorial
 from hopfring.linalg import _size
 
@@ -252,3 +253,63 @@ def test_pivot_size_matches_fraction_definition(fab):
     F, a, b = fab
     for x in (a, a * b, a - b, F.q_pow(1) + F.one, F.zero):
         assert _size(x) == _size_by_fractions(x)
+
+
+# -- the integer-only inverse --------------------------------------------------
+
+# phi = 2, 6, 4, 6, 4; the Galois groups at 8 and 12 are not cyclic
+WIDE_FIELDS = {n: cyclo_field(n) for n in (6, 7, 8, 9, 12)}
+
+
+def nonzero_element():
+    return st.sampled_from(sorted(WIDE_FIELDS)).flatmap(
+        lambda n: elements(WIDE_FIELDS[n]).filter(lambda x: not x.is_zero())
+    )
+
+
+@PROPS
+@given(nonzero_element())
+def test_inverse_property_wider_orders(a):
+    inv = a.inverse()
+    assert a * inv == a.field.one
+    _assert_canonical(inv)
+    assert inv.inverse() == a
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_inverse_with_a_missing_conjugate_raises(n):
+    # without one automorphism sigma the product is N(x) / sigma(x), which is
+    # rational only when x is: every irrational x must be refused
+    for drop in range(cyclo_field(n).phi - 1):
+        F = cyclo_field(n)
+        assert len(F._conj) == F.phi - 1
+        del F._conj[drop]
+        for x in (F.q, F.q + F.from_int(2), F.element([RAT(1, 3), 2, -1, 5][: F.phi])):
+            with pytest.raises(ArithmeticError):
+                x.inverse()
+
+
+def test_inverse_with_a_negated_conjugate_raises():
+    # the product then is -N(x): rational, but not the positive norm
+    F = cyclo_field(3)
+    F._conj[0] = tuple(tuple(-v for v in col) for col in F._conj[0])
+    for x in (F.q, F.from_int(2), F.q + F.from_rat(RAT(1, 2))):
+        with pytest.raises(ArithmeticError):
+            x.inverse()
+
+
+def test_inverse_uses_no_fractions(monkeypatch):
+    values = []
+    for n in (3, 5, 8, 12):
+        F = cyclo_field(n)
+        values += [F.q, F.q + F.from_rat(RAT(-5, 3)), F.random(random.Random(n))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction arithmetic in CycloNum.inverse")
+
+    monkeypatch.setattr(cyclo, "Fraction", refuse)
+    monkeypatch.setattr(cyclo, "_poly_divmod", refuse)
+    inverses = [x.inverse() for x in values]
+    monkeypatch.undo()
+    for x, inv in zip(values, inverses):
+        assert x * inv == x.field.one

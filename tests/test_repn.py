@@ -4,8 +4,10 @@ import pytest
 
 from hopfring.algebra import AlgebraSpec, build_algebra
 from hopfring.labels import Label
+from hopfring.linalg import Mat
 from hopfring.repn import (
     DecompVector,
+    Module,
     ModuleCatalog,
     ModuleError,
     conjugated_module,
@@ -20,6 +22,7 @@ from hopfring.repn import (
     tensor_module,
     weight_decomposition,
 )
+from hopfring.structure import jacobson_radical
 
 
 def get(family, n, p=None):
@@ -185,6 +188,38 @@ def test_radical_filtration_diamond():
         for lab, m in layer.items():
             total[lab] = total.get(lab, 0) + m
     assert total == {lab: 1 for lab in cat.labels}
+
+
+def test_act_elt_is_the_sum_of_scaled_monomial_actions():
+    H = get("hpq", 3, 1)
+    M = regular_representation(H)
+    rng = random.Random(7)
+    elt = H.zero_elt
+    for m in rng.sample(H.basis, 6):
+        elt = elt + H.monomial(m).scale(H.field.random(rng))
+    ref = Mat.zeros(H.field, M.dim, M.dim)
+    for mono, c in elt.terms.items():
+        ref = ref + M._mono_matrix(mono).scale(c)
+    assert M.act_elt(elt) == ref
+    for x in (H.gen("a"), H.gen("d") * H.gen("b")):
+        assert M.act_elt(x).apply(H.one.as_vector()) == x.as_vector()
+
+
+def test_radical_action_kept_on_the_module(monkeypatch):
+    H = get("hpq", 3, 1)
+    cat = module_catalog(H)
+    lab = next(l for l in cat.labels if cat.pims[l].dim == 2 * H.n)
+    fresh = Module(H, cat.pims[lab].acts, label=lab)
+    pairs = [(l, cat.simples[l]) for l in cat.labels]
+    layers = radical_filtration(fresh, pairs)
+    assert len(layers) == 3
+    assert len(fresh._radical_mats) == jacobson_radical(H).dim
+
+    def refuse(elt):
+        raise AssertionError("radical action rebuilt")
+
+    monkeypatch.setattr(fresh, "act_elt", refuse)
+    assert radical_filtration(fresh, pairs) == layers
 
 
 def test_cartan_matrices():

@@ -1,6 +1,7 @@
 import pytest
 
-from hopfring.algebra import AlgebraSpec, build_algebra
+from hopfring import structure
+from hopfring.algebra import Algebra, AlgebraSpec, build_algebra
 from hopfring.cyclo import cyclo_field
 from hopfring.fdalg import TableAlgebra
 from hopfring.structure import (
@@ -53,6 +54,22 @@ def test_radical_reports():
 def test_loewy_lengths_n3():
     assert loewy_length(get("tensor_taft", 3)) == 5
     assert loewy_length(get("hpq", 3, 0)) == 5
+
+
+def test_loewy_length_computed_once(monkeypatch):
+    H = Algebra(AlgebraSpec("tensor_taft", 3))
+    calls = []
+    real = structure._loewy_length
+
+    def counting(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(structure, "_loewy_length", counting)
+    assert loewy_length(H) == 5
+    assert radical_report(H, check_quotient=False)["loewy_length"] == 5
+    assert loewy_length(H) == 5
+    assert calls == [H]
 
 
 @pytest.mark.slow
