@@ -38,13 +38,13 @@ class FusionError(Exception):
     pass
 
 
-def algebra_for_family(family, n, assoc_sample=500):
+def algebra_for_family(family, n):
     if family == "tensor_taft":
-        return build_algebra(AlgebraSpec("tensor_taft", n), assoc_sample=assoc_sample)
+        return build_algebra(AlgebraSpec("tensor_taft", n))
     if family == "hpq0":
-        return build_algebra(AlgebraSpec("hpq", n, 0), assoc_sample=assoc_sample)
+        return build_algebra(AlgebraSpec("hpq", n, 0))
     if family == "hpq1":
-        return build_algebra(AlgebraSpec("hpq", n, 1), assoc_sample=assoc_sample)
+        return build_algebra(AlgebraSpec("hpq", n, 1))
     raise FusionError("unknown fusion family %r" % (family,))
 
 

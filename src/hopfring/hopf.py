@@ -50,8 +50,7 @@ class HopfMaps:
     def __init__(self, H):
         self.H = H
         f = H.field
-        unit = H.basis[0] if H.basis[0] == (0,) * H.num_letters else (0,) * H.num_letters
-        self._unit = unit
+        self._unit = unit = H._unit
         one = f.one
         gen = {}
         if H.num_letters == 2:
@@ -195,21 +194,15 @@ class HopfMaps:
         failures = []
         rels = defining_relations(H)
         one_t2 = {(self._unit, self._unit): f.one}
-
-        def t2_scale(x, c):
-            if c.is_zero():
-                return {}
-            return {k: v * c for k, v in x.items()}
-
-        def t2_add(x, y):
-            out = dict(x)
-            for k, v in y.items():
-                _merge(out, k, v)
-            return out
-
         for name, terms in rels:
+            # the scaled terms are fresh dicts, so the sum may accumulate in place
             val = eval_relation(
-                terms, self._delta_gen, one_t2, self.tensor_mul, t2_scale, t2_add
+                terms,
+                self._delta_gen,
+                one_t2,
+                self.tensor_mul,
+                lambda x, c: _add_scaled({}, c, x),
+                lambda x, y: _add_scaled(x, f.one, y),
             )
             if val:
                 failures.append(("delta", name))
@@ -318,13 +311,14 @@ def skew_pairing_tau(field, p, left, right):
     return (p ** j) * field.q_pow(i * l) * q_factorial(field, j)
 
 
-def tensor_iso_check(n, assoc_sample=200):
+def tensor_iso_check(n):
     """Verify the generator assignment extends to a Hopf isomorphism from the
     four-generator algebra onto the pair algebra of the two Taft factors."""
     t0 = time.perf_counter()
-    H = build_algebra(AlgebraSpec("tensor_taft", n), assoc_sample=assoc_sample)
-    T1 = build_algebra(AlgebraSpec("taft", n), assoc_sample=assoc_sample)
-    T2 = build_algebra(AlgebraSpec("taft_opp", n), assoc_sample=assoc_sample)
+    # build_algebra ignores the depth; perfbench's set-up for this target declares 200
+    H = build_algebra(AlgebraSpec("tensor_taft", n), assoc_sample=200)
+    T1 = build_algebra(AlgebraSpec("taft", n), assoc_sample=200)
+    T2 = build_algebra(AlgebraSpec("taft_opp", n), assoc_sample=200)
     m1 = hopf_maps(T1)
     m2 = hopf_maps(T2)
     f = H.field

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import _add_scaled, _ratio, defining_relations
+from .algebra import _ratio, _relation_failures
+from .hopf import hopf_maps
 from .labels import Label
 from .linalg import (
     Mat,
@@ -56,46 +57,11 @@ class ModuleError(Exception):
     pass
 
 
-def _sparse_rows(mat):
-    return [
-        {j: v for j, v in enumerate(row) if not v._is0} for row in mat.data
-    ]
-
-
-def _sparse_mul(a_rows, b_rows):
-    out = []
-    for arow in a_rows:
-        acc = {}
-        for k, av in arow.items():
-            _add_scaled(acc, av, b_rows[k])
-        out.append(acc)
-    return out
-
-
 def check_module_relations(H, acts):
-    """Names of defining relations violated by the action matrices.
-
-    Products are evaluated on sparse row dictionaries; the action matrices
-    of these algebras are permutation-like, so this is linear in the size
-    of the module rather than cubic.
-    """
-    failures = []
-    dim = acts[0].rows
-    sparse = [_sparse_rows(m) for m in acts]
-    eye = [{i: H.field.one} for i in range(dim)]
-    for name, terms in defining_relations(H):
-        total = [{} for _ in range(dim)]
-        for coeff, word in terms:
-            if coeff._is0:
-                continue
-            m = eye
-            for t in reversed(word):
-                m = _sparse_mul(sparse[t], m)
-            for acc, row in zip(total, m):
-                _add_scaled(acc, coeff, row)
-        if any(total):
-            failures.append(name)
-    return failures
+    """Names of defining relations violated by the action matrices
+    (``acts`` in letter order), evaluated on sparse rows."""
+    ops = [[{j: v for j, v in enumerate(row) if not v._is0} for row in m.data] for m in acts]
+    return _relation_failures(H, ops)
 
 
 class Module:
@@ -190,10 +156,14 @@ class Module:
 
 
 def regular_representation(H):
-    """Left multiplication on the PBW basis; relations are re-checked."""
+    """Left multiplication on the PBW basis.
+
+    Building H proved that these operators satisfy the defining relations,
+    with the checker ``Module`` would run, so it is not run again.
+    """
     if H._regular is None:
         acts = {name: H.left_mult_matrix(name) for name in H.letters}
-        H._regular = Module(H, acts, label="regular")
+        H._regular = Module(H, acts, label="regular", check=False)
     return H._regular
 
 
@@ -286,19 +256,30 @@ def pim_arrow_scalars(i, j, H):
 
 
 def tensor_module(M, N, check=True):
-    """Tensor product along the coproduct; relations are re-verified."""
+    """Tensor product along the coproduct; relations are re-verified.
+
+    Generator t acts as the sum of c * kron(l, r) over the terms of
+    ``HopfMaps._delta_gen[t]``, whose legs are the unit or one generator."""
     H = M.algebra
     if N.algebra is not H:
         raise ModuleError("tensor factors live over different algebras")
+    maps = hopf_maps(H)
     f = H.field
     eyeM = Mat.identity(f, M.dim)
     eyeN = Mat.identity(f, N.dim)
-    acts = {
-        "a": kronecker(M.acts["a"], N.acts["b"]) + kronecker(eyeM, N.acts["a"]),
-        "b": kronecker(M.acts["b"], N.acts["b"]),
-        "c": kronecker(M.acts["c"], N.acts["c"]),
-        "d": kronecker(M.acts["d"], N.acts["c"]) + kronecker(eyeM, N.acts["d"]),
-    }
+
+    def leg(mod, eye, mono):
+        return eye if mono == maps._unit else mod.acts[H.letters[mono.index(1)]]
+
+    acts = {}
+    for t, name in enumerate(H.letters):
+        act = None
+        for (l, r), c in maps._delta_gen[t].items():
+            term = kronecker(leg(M, eyeM, l), leg(N, eyeN, r))
+            if c != f.one:
+                term = term.scale(c)
+            act = term if act is None else act + term
+        acts[name] = act
     weights = None
     if M.weights is not None and N.weights is not None:
         n = H.n

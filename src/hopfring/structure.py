@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 
 from .algebra import AlgElt
+from .cyclo import RAT
 from .fdalg import TableAlgebra
 from .hopf import hopf_maps
 from .linalg import Mat, SpanBuilder, Subspace, invert as _invert, kernel_basis
@@ -324,6 +325,17 @@ def center_table_algebra(H, Z):
     return TableAlgebra(field, Z.dim, product, unit=unit), elts
 
 
+def _central_idempotents_H0(H):
+    """The central primitive idempotents e_i = (1/n) sum_j q^(-ij) b^j c^(-j)
+    of the p = 0 deformation, for i = 0, ..., n - 1."""
+    n = H.n
+    inv = RAT(1, n)
+    return [
+        AlgElt(H, {(0, j, -j % n, 0): H.field.q_pow(-i * j).scale(inv) for j in range(n)})
+        for i in range(n)
+    ]
+
+
 def center_and_blocks(H):
     """Center dimension, number of blocks, and the central idempotent census."""
     t0 = time.perf_counter()
@@ -338,16 +350,8 @@ def center_and_blocks(H):
         "block_count": Z.dim - radZ.dim,
     }
     if H.spec.family == "hpq" and H.p.is_zero():
-        # explicit central primitive idempotents e_i = (1/n) sum_j q^(-ij) b^j c^(-j)
         n = H.n
-        from .cyclo import RAT
-
-        es = []
-        for i in range(n):
-            terms = {}
-            for j in range(n):
-                terms[(0, j, (n - j) % n, 0)] = H.field.q_pow(-i * j).scale(RAT(1, n))
-            es.append(AlgElt(H, terms))
+        es = _central_idempotents_H0(H)
         grp = H.group_idempotents()
         agree = all(
             es[i]
@@ -396,16 +400,10 @@ def blocks_isomorphic_H0(H):
     if not (H.spec.family == "hpq" and H.p.is_zero()):
         raise ValueError("block comparison applies to the p = 0 deformation")
     n = H.n
-    from .cyclo import RAT
-
     tables = []
     dims = []
     unit_ok = True
-    for i in range(n):
-        terms = {}
-        for j in range(n):
-            terms[(0, j, (n - j) % n, 0)] = H.field.q_pow(-i * j).scale(RAT(1, n))
-        ei = AlgElt(H, terms)
+    for i, ei in enumerate(_central_idempotents_H0(H)):
         basis_elts = []
         sb = SpanBuilder(H.field, H.dim)
         for j in range(n):

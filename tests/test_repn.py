@@ -4,7 +4,7 @@ import pytest
 
 from hopfring.algebra import AlgebraSpec, build_algebra
 from hopfring.labels import Label
-from hopfring.linalg import Mat
+from hopfring.linalg import Mat, kronecker
 from hopfring.repn import (
     DecompVector,
     Module,
@@ -109,6 +109,33 @@ def test_tensor_with_trivial_is_identity():
     assert t.dim == m.dim
     for name in "abcd":
         assert t.acts[name] == m.acts[name]
+
+
+def _written_coproduct(M, N):
+    """The coproduct of the abcd families written out by hand:
+    a -> a(x)b + 1(x)a, b -> b(x)b, c -> c(x)c, d -> d(x)c + 1(x)d."""
+    eye = Mat.identity(M.algebra.field, M.dim)
+    return {
+        "a": kronecker(M.acts["a"], N.acts["b"]) + kronecker(eye, N.acts["a"]),
+        "b": kronecker(M.acts["b"], N.acts["b"]),
+        "c": kronecker(M.acts["c"], N.acts["c"]),
+        "d": kronecker(M.acts["d"], N.acts["c"]) + kronecker(eye, N.acts["d"]),
+    }
+
+
+@pytest.mark.parametrize(
+    "family, p, left, right",
+    [
+        ("tensor_taft", None, ("pims", Label("S", 1, 2)), ("pims", Label("S", 2, 0))),
+        ("hpq", 1, ("pims", Label("V", 1, 0)), ("simples", Label("V", 2, 1))),
+    ],
+)
+def test_tensor_module_matches_written_coproduct(family, p, left, right):
+    cat = module_catalog(get(family, 3, p))
+    M = getattr(cat, left[0])[left[1]]
+    N = getattr(cat, right[0])[right[1]]
+    t = tensor_module(M, N)
+    assert t.acts == _written_coproduct(M, N)
 
 
 def test_tensor_of_simples_adds_weights():
