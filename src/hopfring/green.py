@@ -974,7 +974,12 @@ def _block_dim(quotient, e):
 def quiver_check_H0(n):
     """Arrow counts and admissible relations of one block's Gabriel quiver."""
     t0 = time.perf_counter()
-    from .structure import _vector_to_elt, jacobson_radical, monomial_ideal_span
+    from .structure import (
+        _vector_to_elt,
+        jacobson_radical,
+        monomial_ideal_span,
+        radical_ideal_generators,
+    )
 
     H = algebra_for_family("hpq0", n)
     J = jacobson_radical(H)
@@ -983,11 +988,11 @@ def quiver_check_H0(n):
     J2 = monomial_ideal_span(H, lambda m: m[0] + m[3] >= 2)
 
     sb2 = SpanBuilder(H.field, H.dim)
-    gens = [H.gen("a"), H.gen("d")]
+    gens = radical_ideal_generators(H)
     for row in J.rows:
         x = _vector_to_elt(H, row)
         for g in gens:
-            sb2.insert((x * g).as_vector())
+            sb2.insert((g * x).as_vector())
     if sb2.to_subspace() != J2:
         raise FusionError("monomial description of the radical square is wrong")
     keep = [idx for idx, m in enumerate(H.basis) if m[0] + m[3] < 2]

@@ -466,17 +466,17 @@ def submodule_restriction(M, sub):
 
 
 def radical_submodule(M, sub=None):
-    """J * X inside M (X given as a Subspace, default the whole module)."""
+    """J * X inside M for a submodule X (a Subspace, default the whole module).
+
+    J = G·H for the right-ideal generators G, so J·X = G·(H·X) = G·X: the
+    action of G, kept on M, spans it.  This needs H·X = X.
+    """
     H = M.algebra
     sb = SpanBuilder(H.field, M.dim)
     base_rows = sub.rows if sub is not None else Mat.identity(H.field, M.dim).data
     mats = M._radical_mats
     if mats is None:
-        # the action of J's generators, or of its whole basis, kept on M
-        gens = radical_ideal_generators(H)
-        if gens is None:
-            gens = [_vector_to_elt(H, row) for row in jacobson_radical(H).rows]
-        mats = M._radical_mats = [M.act_elt(g) for g in gens]
+        mats = M._radical_mats = [M.act_elt(g) for g in radical_ideal_generators(H)]
     for mat in mats:
         for row in base_rows:
             sb.insert(mat.apply(list(row)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from .algebra import AlgElt
+from .algebra import AlgElt, _add_scaled
 from .cyclo import RAT
 from .fdalg import TableAlgebra
 from .hopf import hopf_maps
@@ -109,16 +109,75 @@ def monomial_ideal_span(H, predicate):
     return Subspace(H.field, H.dim, vecs, pivots)
 
 
-def radical_ideal_generators(H):
-    """Small normalizing ideal generators of J, when available.
+def _echelon_insert(basis, row):
+    """Reduce a sparse row (monomial -> scalar) against ``basis`` and keep the
+    remainder; True when the span grew.
 
-    For the undeformed families J is the ideal generated by a and d, and
-    both generators normalize the algebra (aH = Ha), so powers of J are
-    obtained by right multiplication alone.
+    ``basis`` maps each leading (least) monomial to its row, scaled so that
+    the leading coefficient is one.  The basis is echelon, not reduced:
+    only the dimension and membership are read from it.
     """
-    if H.basic:
-        return [H.gen("a"), H.gen("d")]
-    return None
+    row = dict(row)
+    while row:
+        lead = min(row)
+        prev = basis.get(lead)
+        if prev is None:
+            c = row[lead]
+            if not c.is_one():
+                inv = c.inverse()
+                row = {m: v * inv for m, v in row.items()}
+            basis[lead] = row
+            return True
+        _add_scaled(row, -row[lead], prev)
+    return False
+
+
+def _right_ideal_generators(elts, letters, dim):
+    """Walk the elements: one outside the span so far becomes a generator,
+    and its right ideal is spun by right multiplication by the letters.
+    Raise ArithmeticError unless the spun span has dimension dim."""
+    basis = {}
+    gens = []
+    for g in elts:
+        if not _echelon_insert(basis, g.terms):
+            continue
+        gens.append(g)
+        frontier = [g]
+        while frontier:
+            x = frontier.pop()
+            for t in letters:
+                y = x * t
+                if _echelon_insert(basis, y.terms):
+                    frontier.append(y)
+    if len(basis) != dim:
+        raise ArithmeticError(
+            "the right ideal of %d generators has dimension %d, not %d"
+            % (len(gens), len(basis), dim)
+        )
+    return gens
+
+
+def radical_ideal_generators(H):
+    """A small G inside J with G·H = J: generators of J as a right ideal
+    (computed once per algebra).
+
+    Radical powers and radical layers rely on G alone: J^k = G·J^(k-1), and
+    J·X = G·(H·X) = G·X for every submodule X.  For the basic families G is
+    [a, d]: J = aH + dH, which ``radical_report`` checks as
+    ``equals_ideal_generated_by_a_d``.  Otherwise G is read off the echelon
+    rows of J by ``_right_ideal_generators``, and certified: every row of J
+    lies in the spun span by construction, and the span has dimension
+    dim J, so G·H = J exactly.
+    """
+    if H._radical_gens is None:
+        if H.basic:
+            H._radical_gens = [H.gen("a"), H.gen("d")]
+        else:
+            J = jacobson_radical(H)
+            elts = [_vector_to_elt(H, row) for row in J.rows]
+            letters = [H.gen(name) for name in H.letters]
+            H._radical_gens = _right_ideal_generators(elts, letters, J.dim)
+    return H._radical_gens
 
 
 def _vector_to_elt(H, vec):
@@ -132,29 +191,30 @@ def loewy_length(H):
     return H._loewy
 
 
-def _loewy_length(H):
-    J = jacobson_radical(H)
-    if J.dim == 0:
-        return 1
+def _radical_power_dims(H):
+    """dim J^k for k = 1, 2, ... while J^k is nonzero.
+
+    Each power is spanned by the products g·x, for g in the right-ideal
+    generators and x in a basis of the previous power, and is kept as
+    sparse rows in an echelon basis.
+    """
     gens = radical_ideal_generators(H)
-    current = [_vector_to_elt(H, row) for row in J.rows]
-    j_elts = current
-    m = 1
+    current = [_vector_to_elt(H, row) for row in jacobson_radical(H).rows]
+    dims = []
     while current:
-        if m > H.dim:
+        if len(dims) >= H.dim:
             raise ArithmeticError("radical is not nilpotent")
-        sb = SpanBuilder(H.field, H.dim)
-        if gens is not None:
-            for x in current:
-                for g in gens:
-                    sb.insert((x * g).as_vector())
-        else:
-            for x in current:
-                for y in j_elts:
-                    sb.insert((x * y).as_vector())
-        current = [_vector_to_elt(H, row) for row in sb.rows]
-        m += 1
-    return m
+        dims.append(len(current))
+        basis = {}
+        for x in current:
+            for g in gens:
+                _echelon_insert(basis, (g * x).terms)
+        current = [AlgElt(H, row) for row in basis.values()]
+    return dims
+
+
+def _loewy_length(H):
+    return len(_radical_power_dims(H)) + 1
 
 
 def radical_report(H, check_quotient=True):

@@ -241,3 +241,38 @@ def test_blocks_expected_for_any_nonzero_p(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["status"] == "fail"
     assert doc["reports"][0]["block_count"] == 7
+
+
+def test_radical_generators_feed_the_loewy_gate(capsys, monkeypatch):
+    # with G = [a] the radical powers shrink too fast: the Loewy length
+    # read from G must disagree with 2n - 1 and fail the command
+    from hopfring import algebra, repn, structure
+
+    monkeypatch.setattr(algebra, "_CACHE", {})
+    def only_a(H):
+        return [H.gen("a")]
+
+    monkeypatch.setattr(structure, "radical_ideal_generators", only_a)
+    monkeypatch.setattr(repn, "radical_ideal_generators", only_a)
+    code, out = run(capsys, "algebra", "verify", "--family", "tensor-taft", "--n", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    checks = {r["check"]: r for r in doc["reports"]}
+    assert checks["loewy_length"] == {"check": "loewy_length", "value": 4, "status": "fail"}
+
+
+def test_radical_gate_checks_the_ad_ideal(capsys, monkeypatch):
+    # J = aH + dH is what makes G = [a, d] valid for the basic families
+    from hopfring import algebra, structure
+
+    monkeypatch.setattr(algebra, "_CACHE", {})
+    real = structure.monomial_ideal_span
+    monkeypatch.setattr(
+        structure, "monomial_ideal_span", lambda H, pred: real(H, lambda m: m[0] >= 1)
+    )
+    code, out = run(capsys, "algebra", "verify", "--family", "hpq", "--p", "0", "--n", "3")
+    assert code == 1
+    checks = {r["check"]: r for r in json.loads(out)["reports"]}
+    assert checks["radical"]["equals_ideal_generated_by_a_d"] is False
+    assert checks["radical"]["status"] == "fail"

@@ -22,7 +22,7 @@ from hopfring.repn import (
     tensor_module,
     weight_decomposition,
 )
-from hopfring.structure import jacobson_radical
+from hopfring.structure import jacobson_radical, radical_ideal_generators
 
 
 def get(family, n, p=None):
@@ -240,7 +240,9 @@ def test_radical_action_kept_on_the_module(monkeypatch):
     pairs = [(l, cat.simples[l]) for l in cat.labels]
     layers = radical_filtration(fresh, pairs)
     assert len(layers) == 3
-    assert len(fresh._radical_mats) == jacobson_radical(H).dim
+    gens = radical_ideal_generators(H)
+    assert len(fresh._radical_mats) == len(gens)
+    assert len(gens) < jacobson_radical(H).dim
 
     def refuse(elt):
         raise AssertionError("radical action rebuilt")

@@ -1,16 +1,22 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfring import structure
-from hopfring.algebra import Algebra, AlgebraSpec, build_algebra
+from hopfring.algebra import Algebra, AlgebraSpec, _add_scaled, build_algebra
 from hopfring.cyclo import cyclo_field
 from hopfring.fdalg import TableAlgebra
+from hopfring.linalg import SpanBuilder, Subspace
 from hopfring.structure import (
+    _echelon_insert,
+    _radical_power_dims,
+    _right_ideal_generators,
     blocks_isomorphic_H0,
     center_and_blocks,
     integrals_and_symmetry,
     jacobson_radical,
     loewy_length,
     monomial_ideal_span,
+    radical_ideal_generators,
     radical_report,
 )
 
@@ -148,3 +154,123 @@ def test_blocks_isomorphic_n3():
 def test_blocks_check_rejects_wrong_family():
     with pytest.raises(ValueError):
         blocks_isomorphic_H0(get("tensor_taft", 3))
+
+
+# -- radical powers from right-ideal generators ----------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_radical_generators_span_j_as_right_ideal(n):
+    H = get("hpq", n, 1)
+    J = jacobson_radical(H)
+    G = radical_ideal_generators(H)
+    assert 0 < len(G) < J.dim
+    assert radical_ideal_generators(H) is G
+    # G·H, from the products with every PBW monomial, as a canonical subspace
+    vecs = [(g * H.monomial(m)).as_vector() for g in G for m in H.basis]
+    assert Subspace.from_vectors(H.field, H.dim, vecs) == J
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_right_ideal_certificate_can_fail(n):
+    H = get("hpq", n, 1)
+    J = jacobson_radical(H)
+    G = radical_ideal_generators(H)
+    letters = [H.gen(name) for name in H.letters]
+    assert _right_ideal_generators(G, letters, J.dim) == G
+    for k in range(len(G)):
+        with pytest.raises(ArithmeticError):
+            _right_ideal_generators(G[:k] + G[k + 1 :], letters, J.dim)
+    # any three letters generate H here (d a - q a d = p(1 - bc) recovers
+    # what is left out), so the controls leave out two
+    for i in range(4):
+        for j in range(i + 1, 4):
+            kept = [t for k, t in enumerate(letters) if k not in (i, j)]
+            with pytest.raises(ArithmeticError):
+                _right_ideal_generators(G, kept, J.dim)
+
+
+def test_radical_generators_reject_a_non_ideal():
+    H = Algebra(AlgebraSpec("hpq", 3, 1))
+    J = jacobson_radical(H)
+    H._radical = Subspace.from_vectors(H.field, H.dim, J.rows[1:])
+    with pytest.raises(ArithmeticError):
+        radical_ideal_generators(H)
+
+
+@pytest.mark.parametrize("family, p", [("tensor_taft", None), ("hpq", 0)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_radical_powers_are_monomial_ideals(family, p, n):
+    # J^k is the span of the monomials of a,d-degree >= k
+    H = get(family, n, p)
+    expected = []
+    k = 1
+    while True:
+        count = sum(1 for m in H.basis if m[0] + m[3] >= k)
+        if not count:
+            break
+        expected.append(count)
+        k += 1
+    assert _radical_power_dims(H) == expected
+    assert len(expected) + 1 == 2 * n - 1
+
+
+def test_loewy_length_h1_n4():
+    H = get("hpq", 4, 1)
+    assert _radical_power_dims(H) == [136, 56]
+    assert loewy_length(H) == 3
+
+
+AMBIENT = 5
+
+
+def _sparse_vectors(F):
+    coeff = st.sampled_from(
+        [F.q_pow(i) for i in range(F.n)] + [-F.one, F.from_int(2), F.one + F.q]
+    )
+    fresh = st.dictionaries(st.integers(0, AMBIENT - 1), coeff, max_size=AMBIENT)
+    # (fresh vector, or a combination of two earlier ones)
+    step = st.one_of(
+        fresh.map(lambda v: ("fresh", v)),
+        st.tuples(st.integers(0, 20), st.integers(0, 20), coeff, coeff).map(
+            lambda t: ("combo",) + t
+        ),
+    )
+    return st.lists(step, max_size=10)
+
+
+def _echelon_agrees(F, steps):
+    basis = {}
+    sb = SpanBuilder(F, AMBIENT)
+    made = []
+    for step in steps:
+        if step[0] == "fresh" or not made:
+            vec = dict(step[1]) if step[0] == "fresh" else {}
+        else:
+            _, i, j, ci, cj = step
+            vec = _add_scaled({}, ci, made[i % len(made)])
+            _add_scaled(vec, cj, made[j % len(made)])
+        made.append(vec)
+        dense = [vec.get(k, F.zero) for k in range(AMBIENT)]
+        before = dict(vec)
+        assert _echelon_insert(basis, vec) == sb.insert(dense)
+        assert vec == before  # the caller's row is not modified
+    assert len(basis) == sb.dim
+    for lead, row in basis.items():
+        assert row[lead].is_one() and min(row) == lead
+        assert all(not c.is_zero() for c in row.values())
+
+
+_F3, _F5 = cyclo_field(3), cyclo_field(5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_vectors(_F3))
+def test_echelon_insert_grows_with_span_builder_n3(steps):
+    _echelon_agrees(_F3, steps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_vectors(_F5))
+def test_echelon_insert_grows_with_span_builder_n5(steps):
+    _echelon_agrees(_F5, steps)
