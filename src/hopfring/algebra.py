@@ -26,6 +26,7 @@ Math. 29, 1978).
 from __future__ import annotations
 
 from .cyclo import RAT, CycloNum, cyclo_field
+from .linalg import Mat, _add_scaled
 
 __all__ = ["AlgebraSpec", "Algebra", "AlgElt", "build_algebra", "AlgebraError"]
 
@@ -84,20 +85,6 @@ def _merge(out, key, c):
         out.pop(key, None)
     else:
         out[key] = s
-
-
-def _add_scaled(out, c, terms):
-    """Add c * terms into the sparse dict out and return out (the values of
-    terms nonzero; a zero c leaves out unchanged)."""
-    for key, v in terms.items():
-        prod = c * v
-        acc = out.get(key)
-        s = prod if acc is None else acc + prod
-        if s._is0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
 
 
 def _ratio(x, y):
@@ -159,6 +146,11 @@ class AlgElt:
         for m, c in self.terms.items():
             v[H.index[m]] = c
         return v
+
+    def as_row(self):
+        """The element as a sparse row: basis index -> nonzero scalar."""
+        index = self.algebra.index
+        return {index[m]: c for m, c in self.terms.items()}
 
     def serialize(self):
         if not self.terms:
@@ -358,8 +350,6 @@ class Algebra:
         return rows
 
     def left_mult_matrix(self, name):
-        from .linalg import Mat
-
         z = self.field.zero
         data = []
         for row in self._lmul_rows(self.letters.index(name)):
@@ -500,36 +490,41 @@ def _relation_failures(H, ops):
     """Names of defining relations violated by the generator operators, each
     given as sparse rows (``Algebra._lmul_rows``).  The operators of these
     algebras are permutation-like, so this is linear in the dimension."""
-    failures = []
     dim = len(ops[0])
     eye = [{i: H.field.one} for i in range(dim)]
+
+    def add_scaled(total, c, m):
+        for acc, row in zip(total, m):
+            _add_scaled(acc, c, row)
+        return total
+
+    failures = []
     for name, terms in defining_relations(H):
         total = [{} for _ in range(dim)]
-        for coeff, word in terms:
-            if coeff._is0:
-                continue
-            m = eye
-            for t in reversed(word):
-                # the rows are only read, so a word's last letter needs no product
-                m = ops[t] if m is eye else _sparse_mul(ops[t], m)
-            for acc, row in zip(total, m):
-                _add_scaled(acc, coeff, row)
-        if any(total):
+        if any(eval_relation(terms, ops, eye, total, _sparse_mul, add_scaled)):
             failures.append(name)
     return failures
 
 
-def eval_relation(terms, gens, one, mul, scale, add, reverse=False):
-    """Evaluate sum of coeff*word under a generator assignment in any ring."""
-    total = None
+def eval_relation(terms, gens, one, zero, mul, add_scaled, reverse=False):
+    """Evaluate sum of coeff*word under a generator assignment in any ring.
+
+    ``add_scaled(total, c, x)`` returns total + c*x; it may update the total
+    in place, so ``zero`` must be fresh.  Each word starts from its first
+    letter (``one`` only for the empty word), and zero coefficients are
+    skipped.  With ``reverse`` the words are read right to left, as an
+    anti-homomorphism needs.
+    """
+    total = zero
     for coeff, word in terms:
+        if coeff._is0:
+            continue
         if reverse:
-            word = tuple(reversed(word))
-        acc = one
-        for t in word:
+            word = word[::-1]
+        acc = gens[word[0]] if word else one
+        for t in word[1:]:
             acc = mul(acc, gens[t])
-        acc = scale(acc, coeff)
-        total = acc if total is None else add(total, acc)
+        total = add_scaled(total, coeff, acc)
     return total
 
 

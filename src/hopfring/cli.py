@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .algebra import AlgebraSpec, build_algebra
 from .cyclo import RAT
@@ -88,19 +89,17 @@ def _build(family_key, n):
     return algebra_for_family(family_key, n)
 
 
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_timing(v) for k, v in obj.items() if k != "elapsed_s"
-        }
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
+def _timed(args, check):
+    """Run one report's check; with --timings, add its wall time as elapsed_s."""
+    if not args.timings:
+        return check()
+    t0 = time.perf_counter()
+    rep = check()
+    rep["elapsed_s"] = round(time.perf_counter() - t0, 3)
+    return rep
 
 
 def _emit(doc, args):
-    if not args.timings:
-        doc = _strip_timing(doc)
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     elif args.format == "csv":
@@ -337,7 +336,7 @@ def cmd_verify(args):
             )
     if family_key is None:
         raise CliError("target %s needs --family" % (target,))
-    report = _run_target(target, args.n, family_key, args.seed)
+    report = _timed(args, lambda: _run_target(target, args.n, family_key, args.seed))
     report.setdefault("target", target)
     return _wrap(args, "verify", [report])
 
@@ -346,7 +345,8 @@ def cmd_algebra_verify(args):
     family_key = _family_key(args.family, args.p)
     _require_abcd(family_key, "algebra verify")
     H = _build(family_key, args.n)
-    sample = None if H.dim <= 100 else max(500, args.sample or 0)
+    # the whole basis up to dim 100, else a seeded sample of 500 elements
+    sample = None if H.dim <= 100 else 500
 
     def axioms():
         rep = verify_hopf_axioms(H, sample=sample, seed=args.seed)
@@ -379,7 +379,7 @@ def cmd_algebra_verify(args):
     def blocks():
         return dict(_blocks_check(H, family_key), check="blocks")
 
-    reports = [check() for check in (axioms, radical, loewy, integrals, blocks)]
+    reports = [_timed(args, check) for check in (axioms, radical, loewy, integrals, blocks)]
     return _wrap(args, "algebra verify", reports)
 
 
@@ -493,7 +493,6 @@ def build_parser():
     alg_sub = p_alg.add_subparsers(dest="subcommand", required=True)
     p_alg_verify = alg_sub.add_parser("verify")
     common(p_alg_verify)
-    p_alg_verify.add_argument("--sample", type=int, default=None)
 
     p_mod = sub.add_parser("modules", help="module catalogs")
     mod_sub = p_mod.add_subparsers(dest="subcommand", required=True)

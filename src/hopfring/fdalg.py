@@ -48,20 +48,6 @@ class TableAlgebra:
                         out[k] = out[k] + c * pk
         return out
 
-    def left_mult_matrix(self, x):
-        cols = []
-        z = self.field.zero
-        for j in range(self.dim):
-            e = [z] * self.dim
-            e[j] = self.field.one
-            cols.append(self.mul_vec(x, e))
-        return Mat(
-            self.field,
-            self.dim,
-            self.dim,
-            [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)],
-        )
-
     def trace_vector(self):
         """Tr of left multiplication by each basis element."""
         out = []

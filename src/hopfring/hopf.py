@@ -9,17 +9,10 @@ are finitely supported dicts keyed by pairs (triples) of PBW monomials.
 from __future__ import annotations
 
 import random
-import time
 
-from .algebra import (
-    AlgebraSpec,
-    _add_scaled,
-    _merge,
-    build_algebra,
-    defining_relations,
-    eval_relation,
-)
+from .algebra import AlgebraSpec, _merge, build_algebra, defining_relations, eval_relation
 from .cyclo import q_factorial
+from .linalg import _add_scaled
 
 __all__ = [
     "HopfMaps",
@@ -194,26 +187,12 @@ class HopfMaps:
         failures = []
         rels = defining_relations(H)
         one_t2 = {(self._unit, self._unit): f.one}
+        eps_gens = {t: f.one if H.cyclic[t] else f.zero for t in range(H.num_letters)}
         for name, terms in rels:
-            # the scaled terms are fresh dicts, so the sum may accumulate in place
-            val = eval_relation(
-                terms,
-                self._delta_gen,
-                one_t2,
-                self.tensor_mul,
-                lambda x, c: _add_scaled({}, c, x),
-                lambda x, y: _add_scaled(x, f.one, y),
-            )
-            if val:
+            if eval_relation(terms, self._delta_gen, one_t2, {}, self.tensor_mul, _add_scaled):
                 failures.append(("delta", name))
-            eps_gens = {t: f.one if H.cyclic[t] else f.zero for t in range(H.num_letters)}
             sval = eval_relation(
-                terms,
-                eps_gens,
-                f.one,
-                lambda x, y: x * y,
-                lambda x, c: x * c,
-                lambda x, y: x + y,
+                terms, eps_gens, f.one, f.zero, lambda x, y: x * y, lambda s, c, x: s + c * x
             )
             if not sval.is_zero():
                 failures.append(("counit", name))
@@ -221,9 +200,9 @@ class HopfMaps:
                 terms,
                 self._s_gen,
                 H.one,
+                H.zero_elt,
                 lambda x, y: x * y,
-                lambda x, c: x.scale(c),
-                lambda x, y: x + y,
+                lambda s, c, x: s + x.scale(c),
                 reverse=True,
             )
             if not aval.is_zero():
@@ -314,7 +293,6 @@ def skew_pairing_tau(field, p, left, right):
 def tensor_iso_check(n):
     """Verify the generator assignment extends to a Hopf isomorphism from the
     four-generator algebra onto the pair algebra of the two Taft factors."""
-    t0 = time.perf_counter()
     # build_algebra ignores the depth; perfbench's set-up for this target declares 200
     H = build_algebra(AlgebraSpec("tensor_taft", n), assoc_sample=200)
     T1 = build_algebra(AlgebraSpec("taft", n), assoc_sample=200)
@@ -373,7 +351,7 @@ def tensor_iso_check(n):
             if lhs != rhs:
                 fail("product-mismatch", [list(u), list(v)])
                 report["first_product_mismatch"] = [list(u), list(v)]
-                return _finish(report, t0)
+                return report
 
     # coalgebra map: (phi x phi) Delta_H = Delta_pair phi, plus counit
     mH = hopf_maps(H)
@@ -391,7 +369,7 @@ def tensor_iso_check(n):
         if lhs != rhs:
             fail("coproduct-mismatch", list(u))
             report["first_coproduct_mismatch"] = list(u)
-            return _finish(report, t0)
+            return report
         eps_pair = f.zero
         for (mA, mB), c in phi(u).items():
             e = T1.counit_mono(mA) * T2.counit_mono(mB)
@@ -414,9 +392,5 @@ def tensor_iso_check(n):
                     _merge(rhs, (ma, mb), c * ca * cb)
         if lhs != rhs:
             fail("antipode-mismatch", list(u))
-    return _finish(report, t0)
-
-
-def _finish(report, t0):
-    report["elapsed_s"] = round(time.perf_counter() - t0, 3)
     return report
+

@@ -1,15 +1,15 @@
-"""Exact dense linear algebra over Q(zeta_n).
+"""Exact linear algebra over Q(zeta_n).
 
-Everything works on row lists of CycloNum with zero-skipping inner loops;
-pivots are chosen by a coefficient-size heuristic and normalized early to
-keep fraction growth in check (the elimination hot spot tracked by the
-benchmark harness).  Subspaces are kept in reduced row echelon form, so
-they are canonical and comparable by equality.
+Matrices are row lists of CycloNum with zero-skipping inner loops.  There
+are two eliminations: the batch ``rref_rows``, whose pivots are chosen by a
+coefficient-size heuristic and normalized early to keep fraction growth in
+check (the elimination hot spot tracked by the benchmark harness), and the
+incremental ``SpanBuilder`` on sparse rows.  Subspaces are kept in reduced
+row echelon form, so they are canonical and comparable by equality.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd
 
 __all__ = [
@@ -312,43 +312,77 @@ class Subspace:
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
 
+def _add_scaled(out, c, terms):
+    """Add c * terms into the sparse dict out and return out (the values of
+    terms nonzero; a zero c leaves out unchanged)."""
+    for key, v in terms.items():
+        prod = c * v
+        acc = out.get(key)
+        s = prod if acc is None else acc + prod
+        if s._is0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
 class SpanBuilder:
-    """Incrementally maintained reduced echelon span (insertion returns growth)."""
+    """Incrementally grown span, kept as sparse echelon rows.
+
+    Each row maps column -> nonzero scalar, is keyed by its leading (least)
+    column and has leading coefficient one.  The rows are echelon, not
+    reduced; ``to_subspace`` reduces them to the canonical basis.
+    """
 
     def __init__(self, field, ambient):
         self.field = field
         self.ambient = ambient
-        self.rows = []
-        self.pivots = []
+        self._rows = {}
 
     @property
     def dim(self):
-        return len(self.rows)
-
-    def residual(self, vec):
-        return _residual(self.rows, self.pivots, self.ambient, vec)
+        return len(self._rows)
 
     def insert(self, vec):
-        v = self.residual(vec)
-        lead = -1
-        for j, c in enumerate(v):
-            if not c._is0:
-                lead = j
-                break
-        if lead < 0:
-            return False
-        pv = v[lead]
-        if not pv.is_one():
-            inv = pv.inverse()
-            v = [c if c._is0 else c * inv for c in v]
-        _clear_column(self.rows, v, lead, self.ambient)
-        pos = bisect_left(self.pivots, lead)
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, lead)
-        return True
+        """Add a sparse row (column -> scalar) or a dense list to the span,
+        leaving it unchanged; True when the span grew."""
+        if isinstance(vec, dict):
+            row = dict(vec)
+        else:
+            row = {j: c for j, c in enumerate(vec) if not c._is0}
+        rows = self._rows
+        while row:
+            lead = min(row)
+            prev = rows.get(lead)
+            if prev is None:
+                c = row[lead]
+                if not c.is_one():
+                    inv = c.inverse()
+                    row = {j: v * inv for j, v in row.items()}
+                rows[lead] = row
+                return True
+            _add_scaled(row, -row[lead], prev)
+        return False
 
     def to_subspace(self):
-        return Subspace(self.field, self.ambient, self.rows, self.pivots)
+        """The span as a canonical reduced echelon Subspace."""
+        pivots = sorted(self._rows)
+        reduced = {}
+        # back substitution, last pivot first: a reduced row is zero at
+        # every other pivot, so each pivot entry is cleared once
+        for p in reversed(pivots):
+            row = dict(self._rows[p])
+            for j in [j for j in row if j in reduced]:
+                _add_scaled(row, -row[j], reduced[j])
+            reduced[p] = row
+        z = self.field.zero
+        dense = []
+        for p in pivots:
+            vec = [z] * self.ambient
+            for j, c in reduced[p].items():
+                vec[j] = c
+            dense.append(vec)
+        return Subspace(self.field, self.ambient, dense, pivots)
 
 
 def kernel_basis(m):

@@ -526,26 +526,25 @@ def spin_module(H, seeds, label=None):
     for v in seeds:
         w = _left_weight(H, v)
         sb = builders.setdefault(w, SpanBuilder(H.field, H.dim))
-        if sb.insert(v.as_vector()):
-            frontier.append((w, v.as_vector()))
+        if sb.insert(v.as_row()):
+            frontier.append((w, v))
     gens = [(name, H.gen(name), H.weight_shift(name)) for name in H.letters]
     n = H.n
     while frontier:
         nxt = []
-        for w, vec in frontier:
-            elt = _vector_to_elt(H, vec)
+        for w, elt in frontier:
             for name, g, sh in gens:
                 img = g * elt
                 if img.is_zero():
                     continue
                 w2 = ((w[0] + sh[0]) % n, (w[1] + sh[1]) % n)
                 sb = builders.setdefault(w2, SpanBuilder(H.field, H.dim))
-                if sb.insert(img.as_vector()):
-                    nxt.append((w2, img.as_vector()))
+                if sb.insert(img.as_row()):
+                    nxt.append((w2, img))
         frontier = nxt
     vectors = []
     for w in sorted(builders):
-        for row in builders[w].rows:
+        for row in builders[w].to_subspace().rows:
             vectors.append(_vector_to_elt(H, row))
     return module_from_vectors(H, vectors, label=label)
 

@@ -7,13 +7,12 @@ from hopfring import algebra
 from hopfring.algebra import (
     AlgebraError,
     AlgebraSpec,
-    _add_scaled,
     _merge,
     _ratio,
     build_algebra,
 )
 from hopfring.cyclo import cyclo_field
-from hopfring.linalg import Mat
+from hopfring.linalg import Mat, _add_scaled
 
 
 def get(family, n, p=None):

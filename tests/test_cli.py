@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfring import cli
 from hopfring.cli import main
 
@@ -125,13 +127,70 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     assert doc["status"] == "pass"
 
 
+def _keys(obj):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield k
+            yield from _keys(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _keys(v)
+
+
 def test_timings_opt_in(capsys):
     code, out = run(capsys, "verify", "prop3.9", "--n", "3")
     assert code == 0
     assert "elapsed_s" not in out
     code, out = run(capsys, "verify", "prop3.9", "--n", "3", "--timings")
     assert code == 0
-    assert "elapsed_s" in out
+    assert "elapsed_s" in json.loads(out)["reports"][0]
+    argv = ["algebra", "verify", "--family", "tensor-taft", "--n", "3"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "elapsed_s" not in set(_keys(json.loads(out)))
+    code, out = run(capsys, *argv, "--timings")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 5
+    assert all(isinstance(r["elapsed_s"], float) for r in reports)
+
+
+def test_algebra_verify_rejects_sample(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "verify", "--family", "tensor-taft", "--n", "3", "--sample", "600"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("family,p,corrupt", [
+    ("tensor_taft", None, "delta"), ("hpq", 1, "delta"),
+    ("tensor_taft", None, "antipode"), ("hpq", 1, "antipode"),
+])
+def test_algebra_verify_fails_on_corrupt_hopf_maps(capsys, monkeypatch, family, p, corrupt):
+    from hopfring.algebra import AlgebraSpec, build_algebra
+    from hopfring.hopf import HopfMaps
+    from hopfring.repn import module_catalog
+
+    H = build_algebra(AlgebraSpec(family, 3, p))
+    module_catalog(H)  # the cached catalog tensors modules through the intact maps
+    # a fresh HopfMaps in place of the cached one, so no corrupted memo outlives the test
+    maps = HopfMaps(H)
+    if corrupt == "delta":
+        a, c = (1, 0, 0, 0), (0, 0, 1, 0)
+        maps._delta_gen[0] = {(a, c): H.field.one, (H._unit, a): H.field.one}
+    else:
+        maps._s_gen[1] = H.gen("b")
+    monkeypatch.setattr(H, "_hopf_maps", maps, raising=False)
+    argv = ["algebra", "verify", "--family", family.replace("_", "-"), "--n", "3"]
+    if p is not None:
+        argv += ["--p", str(p)]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    axioms = doc["reports"][0]
+    assert axioms["check"] == "hopf_axioms" and axioms["status"] == "fail"
+    assert axioms["relation_failures"]
+    assert {f["map"] for f in axioms["relation_failures"]} == {corrupt}
 
 
 def test_identity_targets(capsys):

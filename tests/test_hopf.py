@@ -4,7 +4,13 @@ import pytest
 
 from hopfring.algebra import AlgebraSpec, build_algebra
 from hopfring.cyclo import cyclo_field, q_factorial
-from hopfring.hopf import hopf_maps, skew_pairing_tau, tensor_iso_check, verify_hopf_axioms
+from hopfring.hopf import (
+    HopfMaps,
+    hopf_maps,
+    skew_pairing_tau,
+    tensor_iso_check,
+    verify_hopf_axioms,
+)
 
 
 def get(family, n, p=None):
@@ -78,6 +84,44 @@ def test_hopf_axioms_sampled_n4(family, p):
     H = get(family, 4, p)
     report = verify_hopf_axioms(H, sample=120, seed=0)
     assert report.ok, report.to_json()
+
+
+def corrupt_delta_a(maps):
+    """Delta(a) = a (x) c + 1 (x) a: the grouplike leg c in place of b."""
+    H = maps.H
+    a, c = (1, 0, 0, 0), (0, 0, 1, 0)
+    maps._delta_gen[0] = {(a, c): H.field.one, (H._unit, a): H.field.one}
+
+
+def corrupt_antipode_b(maps):
+    """S(b) = b in place of b^(n-1)."""
+    maps._s_gen[1] = maps.H.gen("b")
+
+
+# a fresh HopfMaps per test, so the cached maps of the shared algebra stay intact
+@pytest.mark.parametrize(
+    "family,p,corrupt,expected",
+    [
+        ("tensor_taft", None, corrupt_delta_a, [("delta", "da-ad"), ("delta", "a^n")]),
+        ("hpq", 1, corrupt_delta_a, [("delta", "da-q*ad-p(1-bc)")]),
+        ("tensor_taft", None, corrupt_antipode_b, [("antipode", "ba-q*ab")]),
+        (
+            "hpq",
+            1,
+            corrupt_antipode_b,
+            [
+                ("antipode", "ba-q*ab"),
+                ("antipode", "db-q*bd"),
+                ("antipode", "da-q*ad-p(1-bc)"),
+            ],
+        ),
+    ],
+)
+def test_respects_relations_catches_corrupt_generator(family, p, corrupt, expected):
+    maps = HopfMaps(get(family, 3, p))
+    assert maps.respects_relations() == []
+    corrupt(maps)
+    assert maps.respects_relations() == expected
 
 
 def test_antipode_axiom_on_deformed_pair():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hopfring.cyclo import cyclo_field
 from hopfring.linalg import (
     Mat,
+    _add_scaled,
     SpanBuilder,
     Subspace,
     bilinear_radical,
@@ -333,3 +334,70 @@ def test_invert_is_two_sided_inverse(fm):
     inv = invert(sq)
     eye = Mat.identity(F, sq.rows)
     assert inv * sq == eye and sq * inv == eye
+
+
+# -- the incremental span on sparse and dense rows -------------------------------
+
+AMBIENT = 5
+
+
+def _span_steps(F):
+    coeff = st.sampled_from(
+        [F.q_pow(i) for i in range(F.n)] + [-F.one, F.from_int(2), F.one + F.q]
+    )
+    fresh = st.dictionaries(st.integers(0, AMBIENT - 1), coeff, max_size=AMBIENT)
+    # a fresh sparse row, or a combination of two earlier ones
+    step = st.one_of(
+        fresh.map(lambda v: ("fresh", v)),
+        st.tuples(st.integers(0, 20), st.integers(0, 20), coeff, coeff).map(
+            lambda t: ("combo",) + t
+        ),
+    )
+    return st.lists(step, max_size=10)
+
+
+def _span_builder_properties(F, steps):
+    sparse, dense = SpanBuilder(F, AMBIENT), SpanBuilder(F, AMBIENT)
+    made = []
+    prefix = []
+    rank_before = 0
+    for step in steps:
+        if step[0] == "fresh" or not made:
+            vec = dict(step[1]) if step[0] == "fresh" else {}
+        else:
+            _, i, j, ci, cj = step
+            vec = _add_scaled({}, ci, made[i % len(made)])
+            _add_scaled(vec, cj, made[j % len(made)])
+        made.append(vec)
+        row = [vec.get(k, F.zero) for k in range(AMBIENT)]
+        prefix.append(row)
+        rank_after = Subspace.from_vectors(F, AMBIENT, prefix).dim
+        grows = rank_after > rank_before
+        rank_before = rank_after
+        vec_before, row_before = dict(vec), list(row)
+        assert sparse.insert(vec) == grows
+        assert dense.insert(row) == grows
+        # the caller's row is not modified
+        assert vec == vec_before and row == row_before
+    batch = Subspace.from_vectors(F, AMBIENT, prefix)
+    for sb in (sparse, dense):
+        assert sb.dim == batch.dim
+        assert sb.to_subspace() == batch
+        for lead, row in sb._rows.items():
+            assert min(row) == lead and row[lead].is_one()
+            assert all(not c.is_zero() for c in row.values())
+
+
+_F3, _F5 = cyclo_field(3), cyclo_field(5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_span_steps(_F3))
+def test_span_builder_grows_with_rank_n3(steps):
+    _span_builder_properties(_F3, steps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_span_steps(_F5))
+def test_span_builder_grows_with_rank_n5(steps):
+    _span_builder_properties(_F5, steps)

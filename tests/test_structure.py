@@ -1,13 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hopfring import structure
-from hopfring.algebra import Algebra, AlgebraSpec, _add_scaled, build_algebra
+from hopfring.algebra import Algebra, AlgebraSpec, build_algebra
 from hopfring.cyclo import cyclo_field
 from hopfring.fdalg import TableAlgebra
-from hopfring.linalg import SpanBuilder, Subspace
+from hopfring.linalg import Subspace
 from hopfring.structure import (
-    _echelon_insert,
     _radical_power_dims,
     _right_ideal_generators,
     blocks_isomorphic_H0,
@@ -219,58 +217,3 @@ def test_loewy_length_h1_n4():
     H = get("hpq", 4, 1)
     assert _radical_power_dims(H) == [136, 56]
     assert loewy_length(H) == 3
-
-
-AMBIENT = 5
-
-
-def _sparse_vectors(F):
-    coeff = st.sampled_from(
-        [F.q_pow(i) for i in range(F.n)] + [-F.one, F.from_int(2), F.one + F.q]
-    )
-    fresh = st.dictionaries(st.integers(0, AMBIENT - 1), coeff, max_size=AMBIENT)
-    # (fresh vector, or a combination of two earlier ones)
-    step = st.one_of(
-        fresh.map(lambda v: ("fresh", v)),
-        st.tuples(st.integers(0, 20), st.integers(0, 20), coeff, coeff).map(
-            lambda t: ("combo",) + t
-        ),
-    )
-    return st.lists(step, max_size=10)
-
-
-def _echelon_agrees(F, steps):
-    basis = {}
-    sb = SpanBuilder(F, AMBIENT)
-    made = []
-    for step in steps:
-        if step[0] == "fresh" or not made:
-            vec = dict(step[1]) if step[0] == "fresh" else {}
-        else:
-            _, i, j, ci, cj = step
-            vec = _add_scaled({}, ci, made[i % len(made)])
-            _add_scaled(vec, cj, made[j % len(made)])
-        made.append(vec)
-        dense = [vec.get(k, F.zero) for k in range(AMBIENT)]
-        before = dict(vec)
-        assert _echelon_insert(basis, vec) == sb.insert(dense)
-        assert vec == before  # the caller's row is not modified
-    assert len(basis) == sb.dim
-    for lead, row in basis.items():
-        assert row[lead].is_one() and min(row) == lead
-        assert all(not c.is_zero() for c in row.values())
-
-
-_F3, _F5 = cyclo_field(3), cyclo_field(5)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_sparse_vectors(_F3))
-def test_echelon_insert_grows_with_span_builder_n3(steps):
-    _echelon_agrees(_F3, steps)
-
-
-@settings(max_examples=80, deadline=None)
-@given(_sparse_vectors(_F5))
-def test_echelon_insert_grows_with_span_builder_n5(steps):
-    _echelon_agrees(_F5, steps)
