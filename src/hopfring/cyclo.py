@@ -8,6 +8,12 @@ left between them.  Phi_n is monic with integer coefficients, so reduction
 modulo Phi_n stays integral and each operation needs at most one gcd.
 The representation is canonical: equality is coefficient equality.  No
 floating point is used anywhere.
+
+The 2n roots of unity +-q^k come from one table per field, and each table
+element carries its index (``_root``).  A product with a table root is
+index arithmetic (root times root) or one integer column map with no gcd
+(root times anything else).  Only the field's own constructors hand out
+table elements; a value that merely equals a root takes the general path.
 """
 
 from __future__ import annotations
@@ -94,6 +100,18 @@ def _combine(x, y, op):
     return _reduced(x.field, nums, s * db)
 
 
+def _times_root(x, cols):
+    """x times the table root with sparse integer columns cols.  A root is a
+    unit of Z[zeta] whose map on the power basis is an integer matrix with
+    integer inverse, so it keeps gcd(nums): den and canonical form stay."""
+    out = [0] * len(cols)
+    for c, col in zip(x.nums, cols):
+        if c:
+            for j, v in col:
+                out[j] += c * v
+    return CycloNum(x.field, tuple(out), x.den)
+
+
 class CycloField:
     """The field Q(zeta_n) with distinguished primitive n-th root q = zeta_n."""
 
@@ -118,16 +136,65 @@ class CycloField:
             red.append(tuple(cur))
         self._red = red
         self.zero = self.from_int(0)
-        self.one = self.from_int(1)
-        self.q = CycloNum(self, tuple(1 if i == 1 else 0 for i in range(self.phi)), 1)
-        self._qpow = None
+        self._build_roots()
+        self.one = self._roots[0]
+        self.q = self._roots[1]
         # the Galois automorphisms z -> z^k, k coprime to n and k != 1, each
-        # as the integer columns sigma(z^i), i < phi, in the power basis
+        # as the integer columns sigma(z^i) = q^(ik), i < phi, in the power basis
         self._conj = [
-            tuple(self.q_pow(i * k).nums for i in range(self.phi))
+            tuple(self._roots[i * k % n].nums for i in range(self.phi))
             for k in range(2, n)
             if gcd(k, n) == 1
         ]
+        self._check_roots()
+
+    def _build_roots(self):
+        """The root table: index r < n is q^r and r >= n is -q^(r-n), with
+        each root's sparse integer columns root * z^i and its products with
+        every root (the product with root n = -1 is its negation).  The
+        powers come from the general multiply (nothing is flagged yet); the
+        rest is index arithmetic."""
+        n, phi = self.n, self.phi
+        z = CycloNum(self, (0, 1) + (0,) * (phi - 2), 1)
+        pows = [self.from_int(1)]
+        for _ in range(n - 1):
+            pows.append(pows[-1] * z)
+        signed = [x.nums for x in pows] + [(-x).nums for x in pows]
+        roots = []
+        for r, nums in enumerate(signed):
+            x = CycloNum(self, nums, 1)
+            x._root = r
+            roots.append(x)
+        self._roots = roots
+        self._root_cols = [
+            [
+                tuple((j, v) for j, v in enumerate(signed[r // n * n + (r + i) % n]) if v)
+                for i in range(phi)
+            ]
+            for r in range(2 * n)
+        ]
+        self._root_prod = [
+            [roots[(r // n ^ s // n) * n + (r + s) % n] for s in range(2 * n)]
+            for r in range(2 * n)
+        ]
+
+    def _check_roots(self):
+        """Check the root table against the general multiply: each column
+        root * z^i and each product of two roots.  Raises ArithmeticError on
+        the first mismatch."""
+        phi = self.phi
+        plain = [CycloNum(self, x.nums, 1) for x in self._roots]
+        z = [CycloNum(self, tuple(int(j == i) for j in range(phi)), 1) for i in range(phi)]
+        for r, x in enumerate(plain):
+            for i, zi in enumerate(z):
+                col = [0] * phi
+                for j, v in self._root_cols[r][i]:
+                    col[j] += v
+                if tuple(col) != (x * zi).nums:
+                    raise ArithmeticError("root table column %d of root %d is wrong" % (i, r))
+            for s, y in enumerate(plain):
+                if self._root_prod[r][s] != x * y:
+                    raise ArithmeticError("root table product %d * %d is wrong" % (r, s))
 
     def __repr__(self):
         return "CycloField(%d)" % self.n
@@ -153,13 +220,8 @@ class CycloField:
         return _from_fractions(self, coeffs)
 
     def q_pow(self, k):
-        """q**k with k reduced modulo n (q has order n)."""
-        if self._qpow is None:
-            pows = [self.one]
-            for _ in range(self.n - 1):
-                pows.append(pows[-1] * self.q)
-            self._qpow = pows
-        return self._qpow[k % self.n]
+        """q**k with k reduced modulo n (q has order n), from the root table."""
+        return self._roots[k % self.n]
 
     def random(self, rng, max_num=9, max_den=4):
         return _from_fractions(
@@ -203,16 +265,18 @@ class CycloNum:
 
     ``nums`` holds integer numerators over the positive denominator ``den``,
     with gcd(nums, den) = 1; zero is all-zero numerators over 1.  Build
-    elements through CycloField, which keeps that form.
+    elements through CycloField, which keeps that form.  ``_root`` is the
+    index in the field's root table for table elements, else None.
     """
 
-    __slots__ = ("field", "nums", "den", "_is0", "_hash")
+    __slots__ = ("field", "nums", "den", "_is0", "_root", "_hash")
 
     def __init__(self, field, nums, den):
         self.field = field
         self.nums = nums
         self.den = den
         self._is0 = not any(nums)
+        self._root = None
 
     @property
     def coeffs(self):
@@ -270,6 +334,8 @@ class CycloNum:
     def __neg__(self):
         if self._is0:
             return self
+        if self._root is not None:
+            return self.field._root_prod[self._root][self.field.n]
         return CycloNum(self.field, tuple([-c for c in self.nums]), self.den)
 
     def __mul__(self, other):
@@ -281,6 +347,14 @@ class CycloNum:
             return _reduced(self.field, tuple([c * other for c in self.nums]), self.den)
         if other._is0:
             return other
+        r = self._root
+        if r is not None:
+            s = other._root
+            if s is not None:
+                return self.field._root_prod[r][s]
+            return _times_root(other, self.field._root_cols[r])
+        if other._root is not None:
+            return _times_root(self, self.field._root_cols[other._root])
         a, b = self.nums, other.nums
         phi = len(a)
         prod = [0] * (2 * phi - 1)

@@ -127,6 +127,25 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     assert doc["status"] == "pass"
 
 
+def test_verify_tensor_iso_fails_on_corrupt_taft_product(capsys, monkeypatch):
+    from hopfring.algebra import AlgebraSpec, build_algebra
+
+    T1 = build_algebra(AlgebraSpec("taft", 3))
+    x, g = (0, 1), (1, 0)
+    ((gx, c),) = T1.mono_mul(x, g).items()  # x g = q g x
+    monkeypatch.setitem(T1._pair_memo, (x, g), {gx: c * T1.field.q})
+    code, out = run(capsys, "verify", "tensor-iso", "--n", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    rep = doc["reports"][0]
+    assert rep["status"] == "fail"
+    assert [f["kind"] for f in rep["failures"]] == ["product-mismatch"]
+    # d c = q c d maps to (x (x) 1)(g (x) 1), the corrupted x g
+    assert rep["first_product_mismatch"] == [[0, 0, 0, 1], [0, 0, 1, 0]]
+    assert rep["failures"][0]["detail"] == rep["first_product_mismatch"]
+
+
 def _keys(obj):
     if isinstance(obj, dict):
         for k, v in obj.items():

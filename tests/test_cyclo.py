@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfring import cyclo
-from hopfring.cyclo import RAT, _poly_divmod, cyclo_field, q_factorial
+from hopfring.cyclo import RAT, CycloField, CycloNum, _poly_divmod, cyclo_field, q_factorial
 from hopfring.linalg import _size
 
 
@@ -313,3 +313,126 @@ def test_inverse_uses_no_fractions(monkeypatch):
     monkeypatch.undo()
     for x, inv in zip(values, inverses):
         assert x * inv == x.field.one
+
+
+# -- the root table ------------------------------------------------------------
+
+ROOT_FIELDS = {n: cyclo_field(n) for n in (3, 4, 5, 6, 7, 8, 9, 12)}
+
+
+def _plain(x):
+    """A copy of x off the root table, so its products take the general path."""
+    return CycloNum(x.field, x.nums, x.den)
+
+
+def _signed_power(F, r):
+    """(-1)^(r // n) * z^(r % n) by Fraction division by Phi_n (no table)."""
+    n = F.n
+    _, rem = _poly_divmod([RAT(0)] * (r % n) + [RAT(1)], F.modulus)
+    x = F.element(rem)
+    return -x if r >= n else x
+
+
+def roots_and_element():
+    """A field of order in ROOT_FIELDS, two table roots and one element."""
+
+    def draw(n):
+        F = ROOT_FIELDS[n]
+        root = st.integers(0, 2 * n - 1).map(lambda r: F._roots[r])
+        return st.tuples(root, root, elements(F))
+
+    return st.sampled_from(sorted(ROOT_FIELDS)).flatmap(draw)
+
+
+@PROPS
+@given(roots_and_element())
+def test_root_products_match_general_multiply(rsx):
+    r, s, x = rsx
+    F = x.field
+    assert r == _signed_power(F, r._root)
+    cases = (
+        (r * x, _plain(r) * x),
+        (x * r, x * _plain(r)),
+        (r * s, _plain(r) * _plain(s)),
+        (-r, -_plain(r)),
+    )
+    for got, want in cases:
+        assert (got.nums, got.den) == (want.nums, want.den)
+        _assert_canonical(got)
+    assert r * x == _fraction_product(F, r, x)
+    # root times root and the negated root stay on the table
+    for y in (r * s, -r):
+        assert y._root is not None and y is F._roots[y._root]
+    if not x.is_zero():
+        assert (r * x)._root is None and (x * r).den == x.den
+
+
+@PROPS
+@given(
+    st.sampled_from([4, 6, 8, 12]).flatmap(
+        lambda n: st.tuples(st.integers(0, n - 1), elements(ROOT_FIELDS[n]))
+    )
+)
+def test_even_order_alias(kx):
+    # -q^k = q^(k + n/2) for even n: two table entries, one value
+    k, x = kx
+    F = x.field
+    neg, alias = -F.q_pow(k), F.q_pow(k + F.n // 2)
+    assert neg == alias and hash(neg) == hash(alias) and len({neg, alias}) == 1
+    assert neg * x == alias * x == _plain(alias) * x
+    assert neg * F.q == alias * F.q
+    assert neg.serialize() == alias.serialize()
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+@pytest.mark.parametrize("part", ["column", "product", "negation", "value"])
+def test_root_table_check_catches_corruption(n, part):
+    F = cyclo_field(n)
+    F._check_roots()
+    if part == "column":
+        F._root_cols[1][0] = ((0, 1),)  # q * 1 read as 1
+    elif part == "product":
+        F._root_prod[2][n - 1] = F._roots[0]  # q^2 * q^(n-1) read as 1
+    elif part == "negation":
+        F._root_prod[n + 1][n] = F._roots[n + 1]  # -(-q) read as -q
+    else:
+        F._roots[3] = CycloNum(F, F._roots[2].nums, 1)
+    with pytest.raises(ArithmeticError):
+        F._check_roots()
+
+
+def test_field_construction_runs_the_root_check(monkeypatch):
+    build = CycloField._build_roots
+
+    def corrupt(self):
+        build(self)
+        self._root_cols[self.n][1] = self._root_cols[0][1]  # -z read as z
+
+    monkeypatch.setattr(CycloField, "_build_roots", corrupt)
+    for n in (3, 5, 12):
+        with pytest.raises(ArithmeticError):
+            cyclo_field(n)
+
+
+def test_flagged_memo_coefficients_are_table_roots():
+    from hopfring.algebra import AlgebraSpec, build_algebra
+    from hopfring.repn import module_catalog
+
+    H = build_algebra(AlgebraSpec("tensor_taft", 5))
+    for u in H.basis[::13]:
+        for v in H.basis[::17]:
+            H.mono_mul(u, v)
+    H1 = build_algebra(AlgebraSpec("hpq", 3, 1))
+    module_catalog(H1)
+    for A in (H, H1):
+        F = A.field
+        coeffs = [c for terms in A._pair_memo.values() for c in terms.values()]
+        flagged = [c for c in coeffs if c._root is not None]
+        for c in flagged:
+            assert c is F._roots[c._root]
+            assert c == _signed_power(F, c._root)
+        if A is H:
+            # every structure constant of the basic family is a power of q
+            assert len(flagged) == len(coeffs) > 625
+        else:
+            assert 0 < len(flagged) < len(coeffs)
