@@ -19,7 +19,7 @@ from .green import (
 )
 from .hopf import HopfMaps, hopf_maps, skew_pairing_tau, tensor_iso_check, verify_hopf_axioms
 from .labels import Label, basis_labels, parse_label
-from .linalg import Mat, Subspace, bilinear_radical, kernel_basis, kronecker
+from .linalg import Mat, Subspace, kernel_basis, kronecker
 from .repn import (
     DecompVector,
     Module,

@@ -38,26 +38,6 @@ from .structure import (
 
 SCHEMA_VERSION = 1
 
-VERIFY_TARGETS = (
-    "thm3.8", "thm4.9", "thm5.9",
-    "prop3.6", "prop3.7", "prop3.9",
-    "prop4.1", "prop4.6", "prop4.7", "prop4.8", "prop4.10",
-    "cor3.4", "cor3.5", "cor4.4",
-    "lemma5.1", "lemma5.3", "cor5.4", "prop5.5", "lemma5.6", "prop5.7", "cor5.8",
-    "quiver4", "blocks", "tensor-iso",
-)
-
-_TARGET_FAMILY = {
-    "thm3.8": "tensor_taft", "prop3.6": "tensor_taft", "prop3.7": "tensor_taft",
-    "prop3.9": "tensor_taft", "cor3.4": "tensor_taft", "cor3.5": "tensor_taft",
-    "tensor-iso": "tensor_taft",
-    "thm4.9": "hpq0", "prop4.1": "hpq0", "prop4.6": "hpq0", "prop4.7": "hpq0",
-    "prop4.8": "hpq0", "prop4.10": "hpq0", "cor4.4": "hpq0", "quiver4": "hpq0",
-    "thm5.9": "hpq1", "lemma5.1": "hpq1", "lemma5.3": "hpq1", "cor5.4": "hpq1",
-    "prop5.5": "hpq1", "lemma5.6": "hpq1", "prop5.7": "hpq1", "cor5.8": "hpq1",
-}
-
-
 class CliError(Exception):
     pass
 
@@ -160,7 +140,8 @@ def _require_abcd(family_key, what):
 
 
 def _blocks_check(H, family_key):
-    """Block count of the center against its expected value for the family."""
+    """Block count of the center against its expected value for the family;
+    for p = 0, also every flag of the central idempotent census."""
     n = H.n
     if family_key == "tensor_taft":
         expected = 1
@@ -171,30 +152,58 @@ def _blocks_check(H, family_key):
         expected = n * (n + 1) // 2
     rep = center_and_blocks(H)
     rep["expected_block_count"] = expected
-    rep["status"] = "pass" if rep["block_count"] == expected else "fail"
+    ok = rep["block_count"] == expected
+    ok = ok and all(rep.get("central_idempotents", {}).values())
+    rep["status"] = "pass" if ok else "fail"
     return rep
 
 
-def _fusion_subset_check(family, n, predicate, seed=0):
-    """Crosscheck closed form vs matrix oracle on a subset of label pairs."""
-    from .repn import module_catalog
+def _fusion_subset(predicate):
+    """Runner that crosschecks closed form vs matrix oracle on the label
+    pairs satisfying predicate."""
 
-    cat = module_catalog(algebra_for_family(family, n), seed=seed)
-    labels = basis_labels(family, n)
-    checked = 0
-    for a in labels:
-        for b in labels:
-            if not predicate(a, b):
-                continue
-            if closed_form_fusion(family, n, a, b) != computed_fusion(cat, a, b):
-                return {
-                    "family": family,
-                    "n": n,
-                    "status": "fail",
-                    "first_mismatch": [str(a), str(b)],
-                }
-            checked += 1
-    return {"family": family, "n": n, "status": "pass", "pairs_checked": checked}
+    def run(n, family, seed):
+        from .repn import module_catalog
+
+        cat = module_catalog(algebra_for_family(family, n))
+        labels = basis_labels(family, n)
+        checked = 0
+        for a in labels:
+            for b in labels:
+                if not predicate(a, b):
+                    continue
+                if closed_form_fusion(family, n, a, b) != computed_fusion(cat, a, b):
+                    return {
+                        "family": family,
+                        "n": n,
+                        "status": "fail",
+                        "first_mismatch": [str(a), str(b)],
+                    }
+                checked += 1
+        return {"family": family, "n": n, "status": "pass", "pairs_checked": checked}
+
+    return run
+
+
+def _identity_items(*prefixes):
+    """Runner that gates the identity-suite items with the given prefixes."""
+
+    def run(n, family, seed):
+        items = {
+            k: v for k, v in identity_suite_H1(n)["items"].items() if k.startswith(prefixes)
+        }
+        ok = all(v["holds"] for v in items.values())
+        return {"n": n, "status": "pass" if ok else "fail", "items": items}
+
+    return run
+
+
+def _presentation(n, family, seed):
+    return verify_presentation(family, n, seed=seed)
+
+
+def _class_radical(n, family, seed):
+    return class_algebra_radical(family, n)
 
 
 def _loewy_for(H):
@@ -208,135 +217,124 @@ def _loewy_for(H):
     return loewy_length(H)
 
 
-def _run_target(target, n, family_key, seed):
-    if target == "thm3.8":
-        return verify_presentation("tensor_taft", n, seed=seed)
-    if target == "thm4.9":
-        return verify_presentation("hpq0", n, seed=seed)
-    if target == "thm5.9" or target == "cor5.8":
-        rep = verify_presentation("hpq1", n, seed=seed)
-        rep["target"] = target
-        return rep
-    if target == "prop3.6":
-        return _fusion_subset_check(
-            "tensor_taft", n, lambda a, b: a.kind == "S" or b.kind == "S", seed
-        )
-    if target == "prop3.7":
-        return _fusion_subset_check(
-            "tensor_taft", n, lambda a, b: a.kind == "P" and b.kind == "P", seed
-        )
-    if target == "prop4.7":
-        return _fusion_subset_check(
-            "hpq0", n, lambda a, b: a.kind == "S" or b.kind == "S", seed
-        )
-    if target == "prop4.8":
-        return _fusion_subset_check(
-            "hpq0", n, lambda a, b: a.kind == "P" and b.kind == "P", seed
-        )
-    if target == "lemma5.1":
-        table = fusion_table("hpq1", n, "crosscheck", seed=seed)
-        return {
-            "family": "hpq1",
-            "n": n,
-            "status": "pass",
-            "entries": len(table.entries),
-            "case_coverage": dict(sorted(table.coverage.items())),
-        }
-    if target == "prop3.9":
-        return class_algebra_radical("tensor_taft", n)
-    if target == "prop4.10":
-        return class_algebra_radical("hpq0", n)
-    if target == "prop4.1":
-        rep0 = integrals_and_symmetry(_build("hpq0", n))
-        repT = integrals_and_symmetry(_build("tensor_taft", n))
-        ok = rep0["symmetric_certified"] and not repT["unimodular"]
-        return {
-            "target": target,
-            "n": n,
-            "status": "pass" if ok else "fail",
-            "deformed_p0": rep0,
-            "undeformed": repT,
-        }
-    if target == "prop4.6":
-        return blocks_isomorphic_H0(_build("hpq0", n))
-    if target in ("cor3.4", "cor4.4"):
-        fam = "tensor_taft" if target == "cor3.4" else "hpq0"
-        H = _build(fam, n)
-        rep = radical_report(H, check_quotient=(H.dim <= 300))
-        ok = (
-            rep["loewy_length"] == 2 * n - 1
-            and rep.get("equals_ideal_generated_by_a_d", False)
-        )
-        rep["expected_loewy"] = 2 * n - 1
-        rep["status"] = "pass" if ok else "fail"
-        return rep
-    if target == "cor3.5":
-        from .repn import hom_dim, module_catalog
+def _radical_target(n, family, seed):
+    rep = radical_report(_build(family, n))
+    ok = (
+        rep["loewy_length"] == 2 * n - 1
+        and rep.get("equals_ideal_generated_by_a_d", False)
+        and rep.get("quotient_semisimple", True)
+    )
+    rep["expected_loewy"] = 2 * n - 1
+    rep["status"] = "pass" if ok else "fail"
+    return rep
 
-        H = _build("tensor_taft", n)
-        cat = module_catalog(H)
-        ok = all(cat.pims[lab].dim == n * n for lab in cat.labels)
-        tops_ok = all(
-            [hom_dim(cat.pims[lab], cat.simples[l2]).dim for l2 in cat.labels]
-            == [1 if l2 == lab else 0 for l2 in cat.labels]
-            for lab in cat.labels
-        )
-        return {
-            "target": target,
-            "n": n,
-            "status": "pass" if (ok and tops_ok) else "fail",
-            "cover_dim": n * n,
-            "tops_simple": tops_ok,
-        }
-    if target in ("lemma5.3", "cor5.4", "prop5.5", "lemma5.6", "prop5.7"):
-        rep = identity_suite_H1(n)
-        wanted = {
-            "lemma5.3": ("tensor_power_",),
-            "cor5.4": (
-                "x_order", "x_translates_", "y_times_", "simple_from_powers",
-            ),
-            "prop5.5": ("generated_by_x_y",),
-            "lemma5.6": ("simple_polynomials", "cover_polynomials"),
-            "prop5.7": ("vanishing_product",),
-        }[target]
-        items = {
-            k: v for k, v in rep["items"].items()
-            if any(k.startswith(w) for w in wanted)
-        }
-        ok = all(v["holds"] for v in items.values())
-        return {
-            "target": target,
-            "n": n,
-            "status": "pass" if ok else "fail",
-            "items": items,
-        }
-    if target == "quiver4":
-        return quiver_check_H0(n)
-    if target == "blocks":
-        _require_abcd(family_key, "verify blocks")
-        return _blocks_check(_build(family_key, n), family_key)
-    if target == "tensor-iso":
-        return tensor_iso_check(n)
-    raise CliError("unknown verify target %r" % (target,))
+
+def _lemma51(n, family, seed):
+    table = fusion_table(family, n, "crosscheck")
+    return {
+        "family": family,
+        "n": n,
+        "status": "pass",
+        "entries": len(table.entries),
+        "case_coverage": dict(sorted(table.coverage.items())),
+    }
+
+
+def _integrals_target(n, family, seed):
+    rep0 = integrals_and_symmetry(_build(family, n))
+    repT = integrals_and_symmetry(_build("tensor_taft", n))
+    ok = rep0["symmetric_certified"] and not repT["unimodular"]
+    return {
+        "n": n,
+        "status": "pass" if ok else "fail",
+        "deformed_p0": rep0,
+        "undeformed": repT,
+    }
+
+
+def _covers_target(n, family, seed):
+    from .repn import hom_dim, module_catalog
+
+    cat = module_catalog(_build(family, n))
+    ok = all(cat.pims[lab].dim == n * n for lab in cat.labels)
+    tops_ok = all(
+        [hom_dim(cat.pims[lab], cat.simples[l2]).dim for l2 in cat.labels]
+        == [1 if l2 == lab else 0 for l2 in cat.labels]
+        for lab in cat.labels
+    )
+    return {
+        "n": n,
+        "status": "pass" if (ok and tops_ok) else "fail",
+        "cover_dim": n * n,
+        "tops_simple": tops_ok,
+    }
+
+
+def _blocks_target(n, family, seed):
+    _require_abcd(family, "verify blocks")
+    return _blocks_check(_build(family, n), family)
+
+
+def _has_simple(a, b):
+    return a.kind == "S" or b.kind == "S"
+
+
+def _both_projective(a, b):
+    return a.kind == "P" and b.kind == "P"
+
+
+# target -> (default family, runner(n, family_key, seed)), in listing order;
+# only ``blocks`` takes any family, and needs --family
+_TARGETS = {
+    "thm3.8": ("tensor_taft", _presentation),
+    "thm4.9": ("hpq0", _presentation),
+    "thm5.9": ("hpq1", _presentation),
+    "prop3.6": ("tensor_taft", _fusion_subset(_has_simple)),
+    "prop3.7": ("tensor_taft", _fusion_subset(_both_projective)),
+    "prop3.9": ("tensor_taft", _class_radical),
+    "prop4.1": ("hpq0", _integrals_target),
+    "prop4.6": ("hpq0", lambda n, family, seed: blocks_isomorphic_H0(_build(family, n))),
+    "prop4.7": ("hpq0", _fusion_subset(_has_simple)),
+    "prop4.8": ("hpq0", _fusion_subset(_both_projective)),
+    "prop4.10": ("hpq0", _class_radical),
+    "cor3.4": ("tensor_taft", _radical_target),
+    "cor3.5": ("tensor_taft", _covers_target),
+    "cor4.4": ("hpq0", _radical_target),
+    "lemma5.1": ("hpq1", _lemma51),
+    "lemma5.3": ("hpq1", _identity_items("tensor_power_")),
+    "cor5.4": (
+        "hpq1",
+        _identity_items("x_order", "x_translates_", "y_times_", "simple_from_powers"),
+    ),
+    "prop5.5": ("hpq1", _identity_items("generated_by_x_y")),
+    "lemma5.6": ("hpq1", _identity_items("simple_polynomials", "cover_polynomials")),
+    "prop5.7": ("hpq1", _identity_items("vanishing_product")),
+    "cor5.8": ("hpq1", _presentation),
+    "quiver4": ("hpq0", lambda n, family, seed: quiver_check_H0(n)),
+    "blocks": (None, _blocks_target),
+    "tensor-iso": ("tensor_taft", lambda n, family, seed: tensor_iso_check(n)),
+}
+
+VERIFY_TARGETS = tuple(_TARGETS)
 
 
 def cmd_verify(args):
     target = args.target
-    if target not in VERIFY_TARGETS:
+    if target not in _TARGETS:
         raise CliError(
             "unknown target %r; valid targets: %s" % (target, ", ".join(VERIFY_TARGETS))
         )
-    default_family = _TARGET_FAMILY.get(target)
+    default_family, runner = _TARGETS[target]
     family_key = default_family
     if args.family:
         family_key = _family_key(args.family, args.p)
-        if default_family and family_key != default_family and target != "blocks":
+        if default_family and family_key != default_family:
             raise CliError(
                 "target %s is specific to family %s" % (target, default_family)
             )
     if family_key is None:
         raise CliError("target %s needs --family" % (target,))
-    report = _timed(args, lambda: _run_target(target, args.n, family_key, args.seed))
+    report = _timed(args, lambda: runner(args.n, family_key, args.seed))
     report.setdefault("target", target)
     return _wrap(args, "verify", [report])
 
@@ -353,7 +351,7 @@ def cmd_algebra_verify(args):
         return dict(rep.to_json(), check="hopf_axioms")
 
     def radical():
-        rep = radical_report(H, check_quotient=(H.dim <= 300))
+        rep = radical_report(H)
         rep["check"] = "radical"
         # the basic families' radical layers rely on J = aH + dH
         ok = rep.get("quotient_semisimple", True) and rep.get(
@@ -439,7 +437,7 @@ def cmd_table(args):
     family_key = _family_key(args.family, args.p)
     if family_key not in ("tensor_taft", "hpq0", "hpq1"):
         raise CliError("fusion tables apply to tensor-taft and hpq with p in {0, 1}")
-    table = fusion_table(family_key, args.n, args.mode, seed=args.seed)
+    table = fusion_table(family_key, args.n, args.mode)
     doc = table.to_json()
     doc["status"] = "pass"
     if args.format == "csv":
@@ -464,7 +462,7 @@ def cmd_export(args):
             },
         }
     elif args.what == "table":
-        table = fusion_table(family_key, args.n, "closed_form", seed=args.seed)
+        table = fusion_table(family_key, args.n, "closed_form")
         doc = table.to_json()
     else:
         raise CliError("unknown export kind %r" % (args.what,))

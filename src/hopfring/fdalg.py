@@ -3,14 +3,47 @@
 Used for the center of a Hopf algebra, block algebras, projective class
 algebras, and small test fixtures.  The Jacobson radical is computed as
 the radical of the trace form of the regular representation, which is
-valid in characteristic zero.
+valid in characteristic zero; ``trace_form`` is that form, for this module
+and for the PBW algebras alike.
 """
 
 from __future__ import annotations
 
-from .linalg import Mat, SpanBuilder, bilinear_radical
+from .linalg import Mat, SpanBuilder, kernel_basis
 
-__all__ = ["TableAlgebra"]
+__all__ = ["TableAlgebra", "trace_form"]
+
+
+def trace_form(field, basis, mul):
+    """The trace form (u, v) -> Tr(L_uv) = sum_w c_w Tr(L_w), uv = sum_w c_w w.
+
+    ``mul(u, v)`` is the product of two basis elements as a dict from basis
+    element to nonzero scalar.  Each Tr(L_w) = sum_x mul(w, x)[x] is computed
+    once, the first time an entry of the form needs it.
+    """
+    zero = field.zero
+    traces = {}
+
+    def trace(w):
+        t = traces.get(w)
+        if t is None:
+            t = zero
+            for x in basis:
+                c = mul(w, x).get(x)
+                if c is not None:
+                    t = t + c
+            traces[w] = t
+        return t
+
+    def form(u, v):
+        g = zero
+        for w, c in mul(u, v).items():
+            t = trace(w)
+            if not t._is0:
+                g = g + c * t
+        return g
+
+    return form
 
 
 class TableAlgebra:
@@ -26,10 +59,11 @@ class TableAlgebra:
         self._radical = None
 
     def basis_product(self, i, j):
+        """basis_i * basis_j as a dict from index to nonzero coordinate."""
         key = (i, j)
         v = self._table.get(key)
         if v is None:
-            v = self._product(i, j)
+            v = {k: c for k, c in enumerate(self._product(i, j)) if not c._is0}
             self._table[key] = v
         return v
 
@@ -43,38 +77,18 @@ class TableAlgebra:
                 if yj.is_zero():
                     continue
                 c = xi * yj
-                for k, pk in enumerate(self.basis_product(i, j)):
-                    if not pk.is_zero():
-                        out[k] = out[k] + c * pk
-        return out
-
-    def trace_vector(self):
-        """Tr of left multiplication by each basis element."""
-        out = []
-        for w in range(self.dim):
-            t = self.field.zero
-            for u in range(self.dim):
-                t = t + self.basis_product(w, u)[u]
-            out.append(t)
+                for k, pk in self.basis_product(i, j).items():
+                    out[k] = out[k] + c * pk
         return out
 
     def gram(self):
-        tv = self.trace_vector()
-        z = self.field.zero
-        data = [[z] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                g = z
-                for k, pk in enumerate(self.basis_product(i, j)):
-                    if not pk.is_zero() and not tv[k].is_zero():
-                        g = g + pk * tv[k]
-                data[i][j] = g
-                data[j][i] = g
-        return Mat(self.field, self.dim, self.dim, data)
+        form = trace_form(self.field, range(self.dim), self.basis_product)
+        rows = [[form(i, j) for j in range(self.dim)] for i in range(self.dim)]
+        return Mat(self.field, self.dim, self.dim, rows)
 
     def radical(self):
         if self._radical is None:
-            self._radical = bilinear_radical(self.gram())
+            self._radical = kernel_basis(self.gram())
         return self._radical
 
     def is_idempotent(self, x):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from math import comb
 
 from .algebra import AlgebraSpec, _ratio, build_algebra
 from .cyclo import RAT, cyclo_field
@@ -53,8 +54,20 @@ def _half_up(t):
 
 
 def _add(out, label, mult=1):
+    """out[label] += mult; a key whose sum reaches 0 is dropped."""
     if mult:
-        out[label] = out.get(label, 0) + mult
+        total = out.get(label, 0) + mult
+        if total:
+            out[label] = total
+        else:
+            del out[label]
+
+
+def _axpy(out, c, combo):
+    """out += c * combo for integer combinations; returns out."""
+    for label, mult in combo.items():
+        _add(out, label, c * mult)
+    return out
 
 
 def _vlabel(n, l, r):
@@ -219,10 +232,8 @@ class FusionTable:
         out = {}
         for la, ca in x.items():
             for lb, cb in y.items():
-                c = ca * cb
-                for lr, cr in self.entries[(la, lb)].items():
-                    _add(out, lr, c * cr)
-        return {k: v for k, v in out.items() if v}
+                _axpy(out, ca * cb, self.entries[(la, lb)])
+        return out
 
     def power(self, x, m):
         out = {self.one: 1}
@@ -305,12 +316,7 @@ def _catalog_module(cat, label):
 
 
 def _decomp_to_dict(dv):
-    out = {}
-    for lab, m in dv.simple_mults.items():
-        _add(out, lab, m)
-    for lab, m in dv.proj_mults.items():
-        _add(out, lab, m)
-    return out
+    return _axpy(_axpy({}, 1, dv.simple_mults), 1, dv.proj_mults)
 
 
 def computed_fusion(cat, A, B):
@@ -322,7 +328,7 @@ def computed_fusion(cat, A, B):
     return _decomp_to_dict(decompose(M, cat.algebra))
 
 
-def fusion_table(family, n, mode="closed_form", seed=0):
+def fusion_table(family, n, mode="closed_form"):
     """Full grid of products; crosscheck mode compares both routes entrywise."""
     labels = basis_labels(family, n)
     if mode not in ("closed_form", "computed", "crosscheck"):
@@ -333,12 +339,12 @@ def fusion_table(family, n, mode="closed_form", seed=0):
         for b in labels:
             out, case = closed_form_fusion(family, n, a, b, with_case=True)
             closed[(a, b)] = out
-            coverage[case] = coverage.get(case, 0) + 1
+            _add(coverage, case)
     if mode == "closed_form":
         return FusionTable(family, n, mode, labels, closed, coverage)
     from .repn import module_catalog
 
-    cat = module_catalog(algebra_for_family(family, n), seed=seed)
+    cat = module_catalog(algebra_for_family(family, n))
     computed = {(a, b): computed_fusion(cat, a, b) for a in labels for b in labels}
     if mode == "computed":
         return FusionTable(family, n, mode, labels, computed, coverage)
@@ -355,42 +361,54 @@ def fusion_table(family, n, mode="closed_form", seed=0):
 # -- presentations ----------------------------------------------------------
 
 
-def _binom(a, b):
-    if b < 0 or b > a:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
+def _exact(num, den):
+    """num / den, which every closed form below needs to be an integer."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise FusionError("non-integral coefficient %d/%d" % (num, den))
+    return quo
+
+
+def _ballot(m, i):
+    """(m+1-2i) C(m, i) / (m+1-i): the multiplicity of V(m+1-2i) in V(2)^m."""
+    return _exact((m + 1 - 2 * i) * comb(m, i), m + 1 - i)
+
+
+def _simple_poly(m):
+    """V(m, 0) = sum_i (-1)^i C(m-1-i, i) x^i y^(m-1-2i), as a dict
+    (i, j) -> coeff of x^i y^j."""
+    return {
+        (i, m - 1 - 2 * i): (-1) ** i * comb(m - 1 - i, i) for i in range((m - 1) // 2 + 1)
+    }
+
+
+def _cover_poly(n, m):
+    """sum_i (-1)^i (n-m) C(n-m-i, i) / (n-m-i) x^(m+i) y^(n-m-2i); times
+    V(n, 0) it gives P(m, 0) for 1 <= m < n."""
+    k = n - m
+    return {
+        (m + i, k - 2 * i): (-1) ** i * _exact(k * comb(k - i, i), k - i)
+        for i in range(k // 2 + 1)
+    }
 
 
 def _deformed_relation_factors(n):
     """Integer (x,y)-polynomials F1, F2 with F1*F2 the degree-(2n-1) relation.
 
-    F1 = sum (-1)^i n/(n-i) C(n-i, i) x^i y^(n-2i) - 2, and F2 is the
-    expansion of the top simple class in x, y; both have integer
-    coefficients.  Polynomials are dicts (i, m) -> coeff for x^i y^m.
+    F1 = sum (-1)^i n/(n-i) C(n-i, i) x^i y^(n-2i) - 2, the cover
+    polynomial at m = 0 minus 2, and F2 = V(n, 0) is the top simple class.
     """
-    f1 = {}
-    for i in range(n // 2 + 1):
-        num = n * _binom(n - i, i)
-        if num % (n - i):
-            raise FusionError("non-integral coefficient in the vanishing relation")
-        f1[(i, n - 2 * i)] = (-1) ** i * (num // (n - i))
-    f1[(0, 0)] = f1.get((0, 0), 0) - 2
-    f2 = {}
-    for i in range((n - 1) // 2 + 1):
-        f2[(i, n - 1 - 2 * i)] = (-1) ** i * _binom(n - 1 - i, i)
-    return f1, f2
+    f1 = _cover_poly(n, 0)
+    _add(f1, (0, 0), -2)
+    return f1, _simple_poly(n)
 
 
 def _poly_mul(p1, p2):
     out = {}
     for (i1, m1), c1 in p1.items():
         for (i2, m2), c2 in p2.items():
-            key = (i1 + i2, m1 + m2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
+            _add(out, (i1 + i2, m1 + m2), c1 * c2)
+    return out
 
 
 def _eval_xy_poly(table, poly, x, y):
@@ -405,10 +423,8 @@ def _eval_xy_poly(table, poly, x, y):
     for _ in range(xmax):
         xpows.append(table.mul(xpows[-1], x))
     for (i, m), c in poly.items():
-        term = table.mul(xpows[i], ypows[m])
-        for lab, mult in term.items():
-            _add(out, lab, c * mult)
-    return {k: v for k, v in out.items() if v}
+        _axpy(out, c, table.mul(xpows[i], ypows[m]))
+    return out
 
 
 class PresentationSpec:
@@ -431,6 +447,7 @@ class PresentationSpec:
             else:
                 self.z_square = {(i, 0, 1): n for i in range(n)}
                 self.relations = ["x^n - 1", "y^n - 1", "z^2 - n sum_i x^i z"]
+            self._rule = (2, self.z_square)
         elif family == "hpq1":
             self.variables = ("x", "y")
             self.normal_monomials = [
@@ -440,48 +457,35 @@ class PresentationSpec:
             f1, f2 = _deformed_relation_factors(n)
             self.vanishing = _poly_mul(f1, f2)
             self.factors = (f1, f2)
+            top = 2 * n - 1
+            self._rule = (top, {k: -v for k, v in self.vanishing.items() if k != (0, top)})
             self.relations = ["x^n - 1", "(top-class relation of degree 2n-1)"]
         else:
             raise FusionError("unknown family %r" % (family,))
         if len(self.normal_monomials) != self.expected_rank:
             raise FusionError("normal basis cardinality mismatch")
 
-    # normal-form reduction in the presented ring (integer coefficients)
-
     def reduce(self, poly):
+        """Normal form in the presented ring (integer coefficients).
+
+        A monomial whose last exponent reaches top is rewritten by the
+        family's rule (z^2 for the basic families, y^(2n-1) for H_n(1,q))
+        until every last exponent is below top; the other exponents are
+        taken mod n.
+        """
         n = self.n
-        if self.family in ("tensor_taft", "hpq0"):
-            out = {}
-            work = dict(poly)
-            while work:
-                (i, j, e), c = work.popitem()
-                if not c:
-                    continue
-                if e <= 1:
-                    key = (i % n, j % n, e)
-                    out[key] = out.get(key, 0) + c
-                    continue
-                for (i2, j2, e2), c2 in self.z_square.items():
-                    key = (i + i2, j + j2, e - 2 + e2)
-                    work[key] = work.get(key, 0) + c * c2
-            return {k: v for k, v in out.items() if v}
+        top, lower = self._rule
         out = {}
         work = dict(poly)
-        rewrite = {
-            k: -v for k, v in self.vanishing.items() if k != (0, 2 * n - 1)
-        }
         while work:
-            (i, m), c = work.popitem()
-            if not c:
+            key, c = work.popitem()
+            if key[-1] < top:
+                _add(out, tuple(e % n for e in key[:-1]) + key[-1:], c)
                 continue
-            if m <= 2 * n - 2:
-                key = (i % n, m)
-                out[key] = out.get(key, 0) + c
-                continue
-            for (i2, m2), c2 in rewrite.items():
-                key = (i + i2, m - (2 * n - 1) + m2)
-                work[key] = work.get(key, 0) + c * c2
-        return {k: v for k, v in out.items() if v}
+            base = key[:-1] + (key[-1] - top,)
+            for key2, c2 in lower.items():
+                _add(work, tuple(a + b for a, b in zip(base, key2)), c * c2)
+        return out
 
 
 def verify_presentation(family, n, table=None, seed=0):
@@ -517,10 +521,7 @@ def verify_presentation(family, n, table=None, seed=0):
         yn = table.power(y, n)
         rel3 = table.mul(z, z)
         for (i, j, e), c in pres.z_square.items():
-            term = table.mul(table.mul(table.power(x, i), table.power(y, j)), z)
-            for lab, m in term.items():
-                _add(rel3, lab, -c * m)
-        rel3 = {k: v for k, v in rel3.items() if v}
+            _axpy(rel3, -c, table.mul(table.mul(table.power(x, i), table.power(y, j)), z))
         checks = [("x^n - 1", xn == one), ("y^n - 1", yn == one), ("z relation", not rel3)]
         monomial_images = []
         for (i, j, e) in pres.normal_monomials:
@@ -572,10 +573,7 @@ def verify_presentation(family, n, table=None, seed=0):
         prod_keys = pres.reduce({_mono_mul_key(m1, m2): 1})
         lhs = {}
         for key, c in prod_keys.items():
-            img = monomial_images[mono.index(key)]
-            for lab, m in img.items():
-                _add(lhs, lab, c * m)
-        lhs = {k: v for k, v in lhs.items() if v}
+            _axpy(lhs, c, monomial_images[mono.index(key)])
         rhs = table.mul(monomial_images[mono.index(m1)], monomial_images[mono.index(m2)])
         if lhs != rhs:
             mismatches += 1
@@ -637,17 +635,8 @@ def identity_suite_H1(n, table=None):
 
     # tensor powers of the two-dimensional simple
     for m in range(2, n):
-        lhs = table.power(y, m)
-        rhs = {}
-        for i in range(m // 2 + 1):
-            num = (m - 2 * i + 1) * _binom(m, i)
-            den = m - i + 1
-            if num % den:
-                record("tensor_power_m%d" % m, False, "non-integral coefficient")
-                break
-            _add(rhs, _vlabel(n, m + 1 - 2 * i, i), num // den)
-        else:
-            record("tensor_power_m%d" % m, lhs == rhs)
+        rhs = {_vlabel(n, m + 1 - 2 * i, i): _ballot(m, i) for i in range(m // 2 + 1)}
+        record("tensor_power_m%d" % m, table.power(y, m) == rhs)
     # x has order n and translates every class
     ok = table.power(x, n) == one
     record("x_order", ok)
@@ -673,25 +662,15 @@ def identity_suite_H1(n, table=None):
         table.mul(y, vtop) == table.mul(xp[1], {_plabel(n, n - 1, 0): 1}),
     )
     lhs = table.mul(y, {_plabel(n, 1, 0): 1})
-    rhs = {}
-    _add(rhs, _plabel(n, 2, 0))
-    for lab, m in table.mul(xp[1], vtop).items():
-        _add(rhs, lab, 2 * m)
+    rhs = _axpy({_plabel(n, 2, 0): 1}, 2, table.mul(xp[1], vtop))
     record("y_times_first_cover", lhs == rhs)
     lhs = table.mul(y, {_plabel(n, n - 1, 0): 1})
-    rhs = {}
-    for lab, m in vtop.items():
-        _add(rhs, lab, 2 * m)
-    for lab, m in table.mul(xp[1], {_plabel(n, n - 2, 0): 1}).items():
-        _add(rhs, lab, m)
+    rhs = _axpy({_vlabel(n, n, 0): 2}, 1, table.mul(xp[1], {_plabel(n, n - 2, 0): 1}))
     record("y_times_last_cover", lhs == rhs)
     ok_mid = True
     for m in range(2, n - 1):
         lhs = table.mul(y, {_plabel(n, m, 0): 1})
-        rhs = {}
-        _add(rhs, _plabel(n, m + 1, 0))
-        for lab, mm in table.mul(xp[1], {_plabel(n, m - 1, 0): 1}).items():
-            _add(rhs, lab, mm)
+        rhs = _axpy({_plabel(n, m + 1, 0): 1}, 1, table.mul(xp[1], {_plabel(n, m - 1, 0): 1}))
         if lhs != rhs:
             ok_mid = False
     record("y_times_middle_covers", ok_mid, "vacuous" if n < 4 else None)
@@ -700,68 +679,33 @@ def identity_suite_H1(n, table=None):
     for m in range(2, n):
         rhs = dict(table.power(y, m))
         for i in range(1, m // 2 + 1):
-            num = (m + 1 - 2 * i) * _binom(m, i)
-            den = m + 1 - i
-            coeff = num // den
-            if num % den:
-                ok_exp = False
-                continue
-            for lab, mm in table.mul(xp[i], {_vlabel(n, m + 1 - 2 * i, 0): 1}).items():
-                _add(rhs, lab, -coeff * mm)
-        rhs = {k: v for k, v in rhs.items() if v}
+            _axpy(rhs, -_ballot(m, i), table.mul(xp[i], {_vlabel(n, m + 1 - 2 * i, 0): 1}))
         if rhs != {_vlabel(n, m + 1, 0): 1}:
             ok_exp = False
     record("simple_from_powers", ok_exp)
     # closed polynomial expansions of simples and covers
-    ok_simple = True
-    for m in range(1, n + 1):
-        poly = {}
-        for i in range((m - 1) // 2 + 1):
-            poly[(i, m - 1 - 2 * i)] = (-1) ** i * _binom(m - 1 - i, i)
-        if _eval_xy_poly(table, poly, x, y) != {_vlabel(n, m, 0): 1}:
-            ok_simple = False
-    record("simple_polynomials", ok_simple)
-    ok_cover = True
-    for m in range(1, n):
-        poly = {}
-        for i in range((n - m) // 2 + 1):
-            num = (n - m) * _binom(n - m - i, i)
-            den = n - m - i
-            if num % den:
-                ok_cover = False
-                continue
-            poly[(m + i, n - m - 2 * i)] = (-1) ** i * (num // den)
-        val = _eval_xy_poly(table, poly, x, y)
-        if table.mul(val, vtop) != {_plabel(n, m, 0): 1}:
-            ok_cover = False
-    record("cover_polynomials", ok_cover)
+    simples = {m: _eval_xy_poly(table, _simple_poly(m), x, y) for m in range(1, n + 1)}
+    covers = {
+        m: table.mul(_eval_xy_poly(table, _cover_poly(n, m), x, y), vtop) for m in range(1, n)
+    }
+    record(
+        "simple_polynomials",
+        all(val == {_vlabel(n, m, 0): 1} for m, val in simples.items()),
+    )
+    record(
+        "cover_polynomials",
+        all(val == {_plabel(n, m, 0): 1} for m, val in covers.items()),
+    )
     # the vanishing product
     f1, f2 = _deformed_relation_factors(n)
     v1 = _eval_xy_poly(table, f1, x, y)
     v2 = _eval_xy_poly(table, f2, x, y)
     record("vanishing_product", not table.mul(v1, v2))
     # constructive generation: every basis class is a polynomial in x and y
-    ok_gen = True
-    for lab in table.labels:
-        if lab.kind == "V":
-            poly = {}
-            for i in range((lab.a - 1) // 2 + 1):
-                poly[(i, lab.a - 1 - 2 * i)] = (-1) ** i * _binom(lab.a - 1 - i, i)
-            val = _eval_xy_poly(table, poly, x, y)
-            val = table.mul(xp[lab.b], val)
-            if val != {lab: 1}:
-                ok_gen = False
-        else:
-            m = lab.a
-            poly = {}
-            for i in range((n - m) // 2 + 1):
-                poly[(m + i, n - m - 2 * i)] = (-1) ** i * (
-                    (n - m) * _binom(n - m - i, i) // (n - m - i)
-                )
-            val = table.mul(_eval_xy_poly(table, poly, x, y), vtop)
-            val = table.mul(xp[lab.b], val)
-            if val != {lab: 1}:
-                ok_gen = False
+    ok_gen = all(
+        table.mul(xp[lab.b], (simples if lab.kind == "V" else covers)[lab.a]) == {lab: 1}
+        for lab in table.labels
+    )
     record("generated_by_x_y", ok_gen)
     status = all(item["holds"] for item in items.values())
     return {
@@ -894,61 +838,29 @@ def _census_idempotents(family, n, field, labs, index, ideal, alg):
             v[index[lab]] = v[index[lab]] + c
         return v
 
-    idems = []
-    if family == "tensor_taft":
-        for k in range(1, n):
-            for l in range(n):
-                terms = {
-                    (i, j, 0): field.q_pow(k * i + l * j).scale(inv_n2)
-                    for i in range(n)
-                    for j in range(n)
-                }
-                idems.append(to_quotient(class_vec(terms)))
-        for k in range(1, n):
-            terms = {
-                (i, j, 0): field.q_pow(k * j).scale(inv_n2)
-                for i in range(n)
-                for j in range(n)
-            }
-            idems.append(to_quotient(class_vec(terms)))
-        f00 = {
-            (i, j, 0): field.one.scale(inv_n2) for i in range(n) for j in range(n)
+    def chi(k, l):
+        # the character idempotent n^-2 sum_ij q^(ki+lj) x^i y^j
+        return {
+            (i, j, 0): field.q_pow(k * i + l * j).scale(inv_n2)
+            for i in range(n)
+            for j in range(n)
         }
-        zq = {(0, 0, 1): field.one.scale(inv_n2)}
-        fz = dict(f00)
-        fz[(0, 0, 1)] = -field.one.scale(inv_n2)
-        idems.append(to_quotient(class_vec(fz)))
-        idems.append(to_quotient(class_vec(zq)))
+
+    if family == "tensor_taft":
+        chars = [(k, l) for k in range(n) for l in range(n) if k or l]
+        z_parts = {0: {(0, 0, 1): field.one.scale(inv_n2)}}
     else:
-        for k in range(1, n):
-            for l in range(n):
-                terms = {}
-                for i in range(n):
-                    for j in range(n):
-                        terms[(i, j, 0)] = field.q_pow(k * i + l * j).scale(
-                            inv_n * inv_n
-                        )
-                idems.append(to_quotient(class_vec(terms)))
-        for l in range(n):
-            terms = {}
-            for i in range(n):
-                for j in range(n):
-                    terms[(i, j, 0)] = field.q_pow(l * j).scale(inv_n * inv_n)
-            gl_z = {
-                (0, j, 1): -field.q_pow(l * j).scale(inv_n2 * inv_n)
-                for j in range(n)
-            }
-            combo = dict(terms)
-            for key, c in gl_z.items():
-                combo[key] = c
-            idems.append(to_quotient(class_vec(combo)))
-        for l in range(n):
-            zg = {
-                (0, j, 1): field.q_pow(l * j).scale(inv_n2 * inv_n)
-                for j in range(n)
-            }
-            idems.append(to_quotient(class_vec(zg)))
-    return idems
+        chars = [(k, l) for k in range(1, n) for l in range(n)]
+        z_parts = {
+            l: {(0, j, 1): field.q_pow(l * j).scale(inv_n2 * inv_n) for j in range(n)}
+            for l in range(n)
+        }
+    combos = [chi(k, l) for k, l in chars]
+    for l, zpart in z_parts.items():
+        # chi_0l splits into chi_0l - z-part and the z-part
+        combos.append({**chi(0, l), **{key: -c for key, c in zpart.items()}})
+        combos.append(zpart)
+    return [to_quotient(class_vec(c)) for c in combos]
 
 
 def _block_dim(quotient, e):

@@ -248,19 +248,18 @@ class HopfReport:
         }
 
 
-def verify_hopf_axioms(H, elements=None, sample=None, seed=0):
+def verify_hopf_axioms(H, sample=None, seed=0):
     """Check coassociativity, counit and antipode axioms element by element.
 
-    With ``elements=None`` and no sample size the whole PBW basis is swept;
-    a seeded sample is used for the larger orders.
+    With no sample size the whole PBW basis is swept; a seeded sample is
+    used for the larger orders.
     """
     maps = hopf_maps(H)
-    if elements is None:
-        if sample is None:
-            elements = list(H.basis)
-        else:
-            rng = random.Random(seed)
-            elements = [H.basis[rng.randrange(H.dim)] for _ in range(sample)]
+    if sample is None:
+        elements = list(H.basis)
+    else:
+        rng = random.Random(seed)
+        elements = [H.basis[rng.randrange(H.dim)] for _ in range(sample)]
     failures = []
     for mono in elements:
         if not maps.coassociative_on(mono):

@@ -24,7 +24,6 @@ __all__ = [
     "kronecker",
     "restrict_operator",
     "quotient_operator",
-    "bilinear_radical",
 ]
 
 
@@ -203,16 +202,6 @@ class Mat:
                     if not vk._is0:
                         acc = acc + aik * vk
             out[i] = acc
-        return out
-
-    def power(self, k):
-        out = Mat.identity(self.field, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
         return out
 
     def transpose(self):
@@ -485,13 +474,3 @@ def invert(m):
         raise ValueError("matrix not invertible")
     return Mat(m.field, d, d, [row[d:] for row in rows])
 
-
-def bilinear_radical(gram):
-    """Radical of a symmetric bilinear form given by its Gram matrix."""
-    if gram.rows != gram.cols:
-        raise ValueError("Gram matrix must be square")
-    for i in range(gram.rows):
-        for j in range(i):
-            if gram.data[i][j] != gram.data[j][i]:
-                raise ValueError("Gram matrix must be symmetric")
-    return kernel_basis(gram)

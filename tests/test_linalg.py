@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfring.cyclo import cyclo_field
+from hopfring.fdalg import trace_form
 from hopfring.linalg import (
     Mat,
     _add_scaled,
     SpanBuilder,
     Subspace,
-    bilinear_radical,
     image,
     invert,
     kernel_basis,
@@ -93,34 +93,17 @@ def test_kronecker_mixed_product():
     assert kronecker(a * b, c * d) == kronecker(a, c) * kronecker(b, d)
 
 
-def test_bilinear_radical_basics():
-    assert bilinear_radical(Mat.identity(F3, 4)).dim == 0
-    assert bilinear_radical(Mat.zeros(F3, 4, 4)).dim == 4
-    with pytest.raises(ValueError):
-        bilinear_radical(Mat.zeros(F3, 2, 3))
-
-
-def test_bilinear_radical_rejects_asymmetric():
-    m = Mat.zeros(F3, 2, 2)
-    m.data[0][1] = F3.one
-    with pytest.raises(ValueError):
-        bilinear_radical(m)
-
-
 def test_trace_form_of_cyclotomic_field_is_nondegenerate():
-    # Q(zeta_3) as a 2-dimensional algebra over Q with basis 1, z:
-    # left multiplications L_1 = I and L_z = [[0,-1],[1,-1]] since z^2 = -1 - z
-    one, zero = F3.one, F3.zero
-    l1 = Mat.identity(F3, 2)
-    lz = Mat.from_rows(F3, [[zero, -one], [one, -one]])
-    basis = [l1, lz]
-    gram = Mat.from_rows(
-        F3, [[(basis[i] * basis[j]).trace() for j in range(2)] for i in range(2)]
-    )
+    # Q(zeta_3) as a 2-dimensional algebra over Q with basis 1, z, where
+    # z^2 = -1 - z: Tr(L_1) = 2, Tr(L_z) = -1, Tr(L_z^2) = -2 + 1 = -1
+    one = F3.one
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: -one, 1: -one}}
+    form = trace_form(F3, [0, 1], lambda u, v: table[(u, v)])
+    gram = Mat.from_rows(F3, [[form(i, j) for j in range(2)] for i in range(2)])
     assert gram.data[0][0] == F3.from_int(2)
-    assert gram.data[0][1] == -one
+    assert gram.data[0][1] == gram.data[1][0] == -one
     assert gram.data[1][1] == -one
-    assert bilinear_radical(gram).dim == 0
+    assert kernel_basis(gram).dim == 0
 
 
 def test_solve_particular_and_kernel():

@@ -1,0 +1,145 @@
+"""A corrupted input for every verify target: each must give status: fail,
+exit code 1 and name the check that failed.
+
+``UNCOVERED`` lists the targets that have no control yet; it can only
+shrink, because the last test requires covered, elsewhere and uncovered
+targets to add up to ``VERIFY_TARGETS``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from hopfring import cli, green, structure
+from hopfring.fdalg import TableAlgebra
+from hopfring.labels import parse_label
+from hopfring.linalg import Subspace
+
+# target -> (family, A, B, label, check): the closed-form product A*B (and
+# B*A) gets one more copy of label, and the named check must fail.  Each
+# product feeds the target's relations at n = 3.
+CLOSED_FORM_CONTROLS = {
+    # x = S(1,0): x^2 * x no longer returns the unit
+    "thm3.8": ("tensor_taft", "S(2,0)", "S(1,0)", "S(0,0)", "x^n - 1"),
+    # x = S(1,1)
+    "thm4.9": ("hpq0", "S(2,2)", "S(1,1)", "S(0,0)", "x^n - 1"),
+    # y = V(2,0): y^2 enters both factors of the vanishing relation
+    "thm5.9": ("hpq1", "V(2,0)", "V(2,0)", "V(3,0)", "vanishing relation"),
+    # x = V(1,1): x^2 * x no longer returns the unit
+    "cor5.8": ("hpq1", "V(1,2)", "V(1,1)", "V(1,0)", "x^n - 1"),
+    "lemma5.3": ("hpq1", "V(2,0)", "V(2,0)", "V(1,1)", "tensor_power_m2"),
+    "cor5.4": ("hpq1", "V(2,0)", "P(1,0)", "P(2,0)", "y_times_first_cover"),
+    # x * V(3,0) translates the top simple
+    "prop5.5": ("hpq1", "V(1,1)", "V(3,0)", "V(3,1)", "generated_by_x_y"),
+    # x^2 y = V(2,2), and V(2,2) * V(3,0) is the cover P(2,0) translated
+    "lemma5.6": ("hpq1", "V(2,2)", "V(3,0)", "P(2,2)", "cover_polynomials"),
+    # F1 * F2 with F2 = V(3,0) and -2 V(2,1) a term of F1
+    "prop5.7": ("hpq1", "V(2,1)", "V(3,0)", "P(2,2)", "vanishing_product"),
+    "prop3.9": ("tensor_taft", "P(0,0)", "P(0,0)", "P(1,1)", "radical_equals_generated_ideal"),
+    "prop4.10": ("hpq0", "P(0,0)", "P(0,0)", "P(1,1)", "radical_equals_generated_ideal"),
+    # the fusion-subset crosschecks report their first mismatching pair
+    "prop3.6": ("tensor_taft", "S(1,0)", "S(0,1)", "S(1,1)", "S(0,1) x S(1,0)"),
+    "prop3.7": ("tensor_taft", "P(0,0)", "P(0,0)", "P(1,1)", "P(0,0) x P(0,0)"),
+    "prop4.7": ("hpq0", "S(1,0)", "S(0,1)", "S(1,1)", "S(0,1) x S(1,0)"),
+    "prop4.8": ("hpq0", "P(0,0)", "P(0,0)", "P(1,1)", "P(0,0) x P(0,0)"),
+    # the crosscheck table raises at its first mismatch; the error names it
+    "lemma5.1": ("hpq1", "V(2,0)", "V(2,0)", "V(1,1)", "fusion mismatch at (V(2,0), V(2,0))"),
+}
+
+OTHER_CONTROLS = {"cor3.4", "cor4.4", "blocks"}
+
+# controls kept in test_cli.py, next to the target's other CLI tests
+ELSEWHERE = {
+    "quiver4": "test_quiver_scalar_gate_can_fail",
+    "tensor-iso": "test_verify_tensor_iso_fails_on_corrupt_taft_product",
+}
+
+UNCOVERED = {"prop4.1", "prop4.6", "cor3.5"}
+
+
+def run(capsys, argv):
+    code = cli.main(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _failed_checks(rep):
+    """The checks a failing report names: relation witnesses, items and
+    flags that read false, and the first mismatching pair."""
+    names = {f["witness"] for f in rep.get("failures", []) if isinstance(f["witness"], str)}
+    names |= {k for k, v in rep.get("items", {}).items() if not v["holds"]}
+    names |= {k for k, v in rep.items() if v is False}
+    if "first_mismatch" in rep:
+        names.add(" x ".join(rep["first_mismatch"]))
+    return names
+
+
+@pytest.mark.parametrize("target", sorted(CLOSED_FORM_CONTROLS))
+def test_corrupt_closed_form_product_fails(target, capsys, monkeypatch):
+    family, a, b, label, check = CLOSED_FORM_CONTROLS[target]
+    A, B, extra = (parse_label(text, family, 3) for text in (a, b, label))
+    real = green.closed_form_fusion
+
+    def corrupted(fam, n, x, y, with_case=False):
+        out, case = real(fam, n, x, y, with_case=True)
+        if fam == family and {x, y} == {A, B}:
+            out = dict(out)
+            out[extra] = out.get(extra, 0) + 1
+        return (out, case) if with_case else out
+
+    monkeypatch.setattr(green, "closed_form_fusion", corrupted)
+    monkeypatch.setattr(cli, "closed_form_fusion", corrupted)
+    code, doc = run(capsys, ["verify", target, "--n", "3"])
+    assert code == 1
+    assert doc["status"] == "fail"
+    if "error" in doc:
+        assert check in doc["error"]
+    else:
+        assert doc["reports"][0]["status"] == "fail"
+        assert check in _failed_checks(doc["reports"][0])
+
+
+@pytest.mark.parametrize("target", ["cor3.4", "cor4.4"])
+def test_radical_targets_gate_the_semisimple_quotient(target, capsys, monkeypatch):
+    # a quotient whose trace form is zero reads as not semisimple
+    monkeypatch.setattr(TableAlgebra, "radical", lambda self: Subspace.full(self.field, self.dim))
+    code, doc = run(capsys, ["verify", target, "--n", "3"])
+    assert code == 1
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    assert rep["quotient_semisimple"] is False
+    assert rep["loewy_length"] == rep["expected_loewy"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "blocks", "--family", "hpq", "--p", "0", "--n", "3"],
+    ["algebra", "verify", "--family", "hpq", "--p", "0", "--n", "3"],
+])
+def test_blocks_gate_the_central_idempotent_census(argv, capsys, monkeypatch):
+    # 2e is central and orthogonal to the other blocks, but not idempotent
+    real = structure._central_idempotents_H0
+
+    def doubled(H):
+        return [e.scale(H.field.from_int(2)) for e in real(H)]
+
+    monkeypatch.setattr(structure, "_central_idempotents_H0", doubled)
+    code, doc = run(capsys, argv)
+    assert code == 1
+    assert doc["status"] == "fail"
+    rep = doc["reports"][-1]
+    assert rep["status"] == "fail"
+    assert rep["block_count"] == rep["expected_block_count"]
+    census = rep["central_idempotents"]
+    assert not census["idempotent"] and not census["complete"]
+    assert not census["matches_group_idempotent_sums"]
+    assert census["central"] and census["orthogonal"]
+
+
+def test_every_target_has_a_control_or_is_listed_uncovered():
+    covered = set(CLOSED_FORM_CONTROLS) | OTHER_CONTROLS
+    groups = [covered, set(ELSEWHERE), UNCOVERED]
+    assert sum(len(g) for g in groups) == len(set().union(*groups))
+    assert set().union(*groups) == set(cli.VERIFY_TARGETS)
+    source = Path(__file__).with_name("test_cli.py").read_text()
+    for name in ELSEWHERE.values():
+        assert "def %s(" % name in source
