@@ -10,9 +10,9 @@ Four families are supported:
 
 Products of PBW monomials are computed by a terminating rewriting system
 that moves generators into alphabetical order and reduces n-th powers;
-the one fanning rule is d past a in the deformed family.  Both the
-generator-level rewrites and the resulting basis-pair products are
-memoized, which is what makes the larger orders feasible.
+the one fanning rule is d past a in the deformed family.  The
+generator-level rewrites, their letter powers and the resulting basis-pair
+products are memoized, which is what makes the larger orders feasible.
 
 Construction proves the product associative.  ``mono_mul(u, v)`` is
 L_u(v), a composite of the operators L_t = ``_lmul_gen(t, .)``; the build
@@ -20,7 +20,10 @@ checks exactly that the L_t satisfy the defining relations and that
 u * 1 = u.  The PBW space is then a cyclic module, with generator 1, over
 the presented algebra, which the PBW words span; so the module is free of
 rank one and the product is the algebra's (Bergman's diamond lemma, Adv.
-Math. 29, 1978).
+Math. 29, 1978).  ``mono_mul`` applies L_u as the letter powers
+L_d^(u_d), ..., L_a^(u_a), each memoized as L_t^e = L_t(L_t^(e-1)) and
+built from ``_lmul_gen`` alone: the same composite of the same L_t, so
+the argument covers every product.
 """
 
 from __future__ import annotations
@@ -208,6 +211,7 @@ class Algebra:
         self.dim = len(self.basis)
         self._unit = (0,) * self.num_letters
         self._gen_memo = {}
+        self._pow_memo = {}
         self._pair_memo = {}
         self._idempotents = None
         self._radical = None
@@ -283,23 +287,42 @@ class Algebra:
         self._gen_memo[key] = out
         return out
 
+    def _lmul_pow(self, t, e, mono):
+        """L_t^e(mono) = L_t(L_t^(e-1)(mono)) for e >= 1 (memoized, read-only)."""
+        if e == 1:
+            return self._lmul_gen(t, mono)
+        key = (t, e, mono)
+        cached = self._pow_memo.get(key)
+        if cached is None:
+            cached = {}
+            for m, c in self._lmul_pow(t, e - 1, mono).items():
+                _add_scaled(cached, c, self._lmul_gen(t, m))
+            self._pow_memo[key] = cached
+        return cached
+
     def mono_mul(self, u, v):
-        """Product of two PBW monomials as a dict of normal-form terms."""
+        """Product of two PBW monomials as a dict of normal-form terms: the
+        letter powers L_d^(u_d), L_c^(u_c), ... applied to v in turn."""
         key = (u, v)
         cached = self._pair_memo.get(key)
         if cached is not None:
             return cached
-        cur = {v: self.field.one}
+        cur = None
         for t in range(self.num_letters - 1, -1, -1):
-            for _ in range(u[t]):
+            e = u[t]
+            if not e:
+                continue
+            if cur is None:
+                cur = self._lmul_pow(t, e, v)
+            else:
                 nxt = {}
                 for m, c in cur.items():
-                    _add_scaled(nxt, c, self._lmul_gen(t, m))
+                    _add_scaled(nxt, c, self._lmul_pow(t, e, m))
                 cur = nxt
-                if not cur:
-                    break
             if not cur:
                 break
+        if cur is None:
+            cur = {v: self.field.one}
         self._pair_memo[key] = cur
         return cur
 

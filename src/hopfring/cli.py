@@ -17,6 +17,7 @@ import time
 from .algebra import AlgebraSpec, build_algebra
 from .cyclo import RAT
 from .green import (
+    FusionMismatch,
     algebra_for_family,
     class_algebra_radical,
     closed_form_fusion,
@@ -172,13 +173,10 @@ def _fusion_subset(predicate):
             for b in labels:
                 if not predicate(a, b):
                     continue
-                if closed_form_fusion(family, n, a, b) != computed_fusion(cat, a, b):
-                    return {
-                        "family": family,
-                        "n": n,
-                        "status": "fail",
-                        "first_mismatch": [str(a), str(b)],
-                    }
+                closed = closed_form_fusion(family, n, a, b)
+                computed = computed_fusion(cat, a, b)
+                if closed != computed:
+                    return FusionMismatch(family, n, (a, b), closed, computed).report()
                 checked += 1
         return {"family": family, "n": n, "status": "pass", "pairs_checked": checked}
 
@@ -217,12 +215,21 @@ def _loewy_for(H):
     return loewy_length(H)
 
 
+def _quotient_ok(rep):
+    """The semisimple-quotient gate: True passes, False fails, and "not run"
+    passes only with the reason the report gives for it."""
+    verdict = rep["quotient_semisimple"]
+    if verdict == "not run":
+        return bool(rep.get("quotient_semisimple_reason"))
+    return verdict is True
+
+
 def _radical_target(n, family, seed):
     rep = radical_report(_build(family, n))
     ok = (
         rep["loewy_length"] == 2 * n - 1
         and rep.get("equals_ideal_generated_by_a_d", False)
-        and rep.get("quotient_semisimple", True)
+        and _quotient_ok(rep)
     )
     rep["expected_loewy"] = 2 * n - 1
     rep["status"] = "pass" if ok else "fail"
@@ -230,7 +237,10 @@ def _radical_target(n, family, seed):
 
 
 def _lemma51(n, family, seed):
-    table = fusion_table(family, n, "crosscheck")
+    try:
+        table = fusion_table(family, n, "crosscheck")
+    except FusionMismatch as exc:
+        return exc.report()
     return {
         "family": family,
         "n": n,
@@ -354,9 +364,7 @@ def cmd_algebra_verify(args):
         rep = radical_report(H)
         rep["check"] = "radical"
         # the basic families' radical layers rely on J = aH + dH
-        ok = rep.get("quotient_semisimple", True) and rep.get(
-            "equals_ideal_generated_by_a_d", True
-        )
+        ok = _quotient_ok(rep) and rep.get("equals_ideal_generated_by_a_d", True)
         rep["status"] = "pass" if ok else "fail"
         return rep
 
@@ -437,7 +445,10 @@ def cmd_table(args):
     family_key = _family_key(args.family, args.p)
     if family_key not in ("tensor_taft", "hpq0", "hpq1"):
         raise CliError("fusion tables apply to tensor-taft and hpq with p in {0, 1}")
-    table = fusion_table(family_key, args.n, args.mode)
+    try:
+        table = fusion_table(family_key, args.n, args.mode)
+    except FusionMismatch as exc:
+        return _wrap(args, "table", [exc.report()])
     doc = table.to_json()
     doc["status"] = "pass"
     if args.format == "csv":

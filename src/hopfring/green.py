@@ -22,6 +22,7 @@ from .linalg import SpanBuilder
 
 __all__ = [
     "FusionError",
+    "FusionMismatch",
     "closed_form_fusion",
     "computed_fusion",
     "fusion_table",
@@ -36,6 +37,30 @@ __all__ = [
 
 class FusionError(Exception):
     pass
+
+
+class FusionMismatch(FusionError):
+    """The first label pair whose closed-form and computed products differ."""
+
+    def __init__(self, family, n, pair, closed, computed):
+        a, b = pair
+        super().__init__(
+            "fusion mismatch at (%s, %s): closed form %s vs computed %s"
+            % (a, b, format_combination(closed), format_combination(computed))
+        )
+        self.family, self.n, self.pair = family, n, pair
+        self.closed, self.computed = closed, computed
+
+    def report(self):
+        """A failing report with the mismatching pair as its witness."""
+        return {
+            "family": self.family,
+            "n": self.n,
+            "status": "fail",
+            "first_mismatch": [str(x) for x in self.pair],
+            "closed_form": format_combination(self.closed),
+            "computed": format_combination(self.computed),
+        }
 
 
 def algebra_for_family(family, n):
@@ -329,7 +354,8 @@ def computed_fusion(cat, A, B):
 
 
 def fusion_table(family, n, mode="closed_form"):
-    """Full grid of products; crosscheck mode compares both routes entrywise."""
+    """Full grid of products; crosscheck mode compares both routes entrywise
+    and raises ``FusionMismatch`` at the first pair that differs."""
     labels = basis_labels(family, n)
     if mode not in ("closed_form", "computed", "crosscheck"):
         raise FusionError("unknown table mode %r" % (mode,))
@@ -345,16 +371,14 @@ def fusion_table(family, n, mode="closed_form"):
     from .repn import module_catalog
 
     cat = module_catalog(algebra_for_family(family, n))
-    computed = {(a, b): computed_fusion(cat, a, b) for a in labels for b in labels}
+    computed = {}
+    for key in closed:
+        computed[key] = computed_fusion(cat, *key)
+        # crosscheck: each product is compared as soon as it is computed
+        if mode == "crosscheck" and computed[key] != closed[key]:
+            raise FusionMismatch(family, n, key, closed[key], computed[key])
     if mode == "computed":
         return FusionTable(family, n, mode, labels, computed, coverage)
-    for key in closed:
-        if closed[key] != computed[key]:
-            a, b = key
-            raise FusionError(
-                "fusion mismatch at (%s, %s): closed form %s vs computed %s"
-                % (a, b, format_combination(closed[key]), format_combination(computed[key]))
-            )
     return FusionTable(family, n, "crosscheck", labels, closed, coverage, computed)
 
 

@@ -318,3 +318,40 @@ def test_corrupted_rewrite_fails_build(monkeypatch, family, n, p, t, mono):
         algebra.Algebra(spec)
     named = str(err.value).split("violate relations: ")[1].split(", ")
     assert named and set(named) <= relations
+
+
+# -- letter powers: mono_mul is the same composite of the L_t ---------------------
+
+
+def _letter_by_letter(H, u, v):
+    """L_u(v) one generator step per unit of exponent, last letter first."""
+    cur = {v: H.field.one}
+    for t in range(H.num_letters - 1, -1, -1):
+        for _ in range(u[t]):
+            nxt = {}
+            for m, c in cur.items():
+                _add_scaled(nxt, c, H._lmul_gen(t, m))
+            cur = nxt
+    return cur
+
+
+@pytest.mark.parametrize(
+    "family, n, p, stride, count",
+    [
+        ("tensor_taft", 3, None, 1, 6561),
+        ("hpq", 3, 1, 1, 6561),
+        # exponent 3 takes the letter-power recursion two levels deep
+        ("hpq", 4, 1, 16, 4096),
+    ],
+)
+def test_mono_mul_by_letter_powers_equals_letter_by_letter(family, n, p, stride, count):
+    # fresh algebras: H's memo tables are filled by this sweep alone, and the
+    # reference reads a second algebra's, so no shared memo entry can hide a
+    # product that was changed in place
+    spec = AlgebraSpec(family, n, p)
+    H, ref = algebra.Algebra(spec), algebra.Algebra(spec)
+    pairs = [(u, v) for u in H.basis for v in H.basis[::stride]]
+    assert len(pairs) == count
+    products = [H.mono_mul(u, v) for u, v in pairs]
+    for (u, v), prod in zip(pairs, products):
+        assert prod == _letter_by_letter(ref, u, v), (u, v)

@@ -69,6 +69,7 @@ def test_hopf_axioms_full_sweep_n3(family, p):
     H = get(family, 3, p)
     report = verify_hopf_axioms(H)
     assert report.checked == 81
+    assert report.to_json()["distinct_elements_checked"] == H.dim
     assert report.ok, report.to_json()
 
 
@@ -84,6 +85,50 @@ def test_hopf_axioms_sampled_n4(family, p):
     H = get(family, 4, p)
     report = verify_hopf_axioms(H, sample=120, seed=0)
     assert report.ok, report.to_json()
+
+
+@pytest.mark.parametrize("n, distinct", [(4, 216), (5, 339)])
+def test_sampled_hopf_report_counts_distinct_elements(n, distinct):
+    # 500 draws with replacement from the n^4 monomials, seed 0
+    rep = verify_hopf_axioms(get("tensor_taft", n), sample=500, seed=0).to_json()
+    assert rep["elements_checked"] == 500
+    assert rep["distinct_elements_checked"] == distinct
+    assert rep["status"] == "pass"
+
+
+def test_sampled_hopf_verdict_is_listed_once_per_draw(monkeypatch):
+    H = get("tensor_taft", 3)
+    draws = random.Random(0)
+    elements = [H.basis[draws.randrange(H.dim)] for _ in range(200)]
+    twice = next(m for m in elements if elements.count(m) > 1)
+    once = next(m for m in elements if elements.count(m) == 1)
+    real = HopfMaps.antipode_axiom_on
+    calls = []
+
+    def corrupted(self, mono):
+        calls.append(mono)
+        return mono not in (twice, once) and real(self, mono)
+
+    monkeypatch.setattr(HopfMaps, "antipode_axiom_on", corrupted)
+    report = verify_hopf_axioms(H, sample=200, seed=0)
+    # each distinct monomial is checked once
+    assert sorted(calls) == sorted(set(elements))
+    # the unmemoized loop: every draw checks every axiom again
+    maps = hopf_maps(H)
+    expected = []
+    for mono in elements:
+        for axiom, holds in (
+            ("coassociativity", maps.coassociative_on),
+            ("counit", maps.counit_axiom_on),
+            ("antipode", maps.antipode_axiom_on),
+        ):
+            if not holds(mono):
+                expected.append((axiom, mono))
+    assert report.failures == expected
+    assert report.checked == 200
+    assert report.distinct == len(set(elements))
+    assert expected.count(("antipode", twice)) == elements.count(twice)
+    assert [m for _, m in expected] == [m for m in elements if m in (twice, once)]
 
 
 def corrupt_delta_a(maps):

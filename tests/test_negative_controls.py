@@ -13,7 +13,7 @@ import pytest
 
 from hopfring import cli, green, structure
 from hopfring.fdalg import TableAlgebra
-from hopfring.labels import parse_label
+from hopfring.labels import basis_labels, format_combination, parse_label
 from hopfring.linalg import Subspace
 
 # target -> (family, A, B, label, check): the closed-form product A*B (and
@@ -43,8 +43,8 @@ CLOSED_FORM_CONTROLS = {
     "prop3.7": ("tensor_taft", "P(0,0)", "P(0,0)", "P(1,1)", "P(0,0) x P(0,0)"),
     "prop4.7": ("hpq0", "S(1,0)", "S(0,1)", "S(1,1)", "S(0,1) x S(1,0)"),
     "prop4.8": ("hpq0", "P(0,0)", "P(0,0)", "P(1,1)", "P(0,0) x P(0,0)"),
-    # the crosscheck table raises at its first mismatch; the error names it
-    "lemma5.1": ("hpq1", "V(2,0)", "V(2,0)", "V(1,1)", "fusion mismatch at (V(2,0), V(2,0))"),
+    # the crosscheck table stops at its first mismatch and reports the pair
+    "lemma5.1": ("hpq1", "V(2,0)", "V(2,0)", "V(1,1)", "V(2,0) x V(2,0)"),
 }
 
 OTHER_CONTROLS = {"cor3.4", "cor4.4", "blocks"}
@@ -99,6 +99,43 @@ def test_corrupt_closed_form_product_fails(target, capsys, monkeypatch):
         assert check in _failed_checks(doc["reports"][0])
 
 
+def test_crosscheck_table_stops_at_the_first_mismatch(capsys, monkeypatch):
+    labels = basis_labels("hpq1", 3)
+    v20, v11 = (parse_label(text, "hpq1", 3) for text in ("V(2,0)", "V(1,1)"))
+    real = green.closed_form_fusion
+    true_product = real("hpq1", 3, v20, v20)
+    corrupt_product = dict(true_product)
+    corrupt_product[v11] = corrupt_product.get(v11, 0) + 1
+
+    def corrupted(fam, n, x, y, with_case=False):
+        out, case = real(fam, n, x, y, with_case=True)
+        if fam == "hpq1" and x == y == v20:
+            out = corrupt_product
+        return (out, case) if with_case else out
+
+    computed = []
+    real_computed = green.computed_fusion
+
+    def counting(cat, a, b):
+        computed.append((a, b))
+        return real_computed(cat, a, b)
+
+    monkeypatch.setattr(green, "closed_form_fusion", corrupted)
+    monkeypatch.setattr(green, "computed_fusion", counting)
+    argv = ["table", "--family", "hpq", "--p", "1", "--mode", "crosscheck", "--n", "3"]
+    code, doc = run(capsys, argv)
+    assert code == 1
+    assert "error" not in doc
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    assert rep["first_mismatch"] == ["V(2,0)", "V(2,0)"]
+    assert rep["closed_form"] == format_combination(corrupt_product)
+    assert rep["computed"] == format_combination(true_product)
+    # no product after the mismatching pair is computed
+    assert computed[-1] == (v20, v20)
+    assert len(computed) == labels.index(v20) * len(labels) + labels.index(v20) + 1
+
+
 @pytest.mark.parametrize("target", ["cor3.4", "cor4.4"])
 def test_radical_targets_gate_the_semisimple_quotient(target, capsys, monkeypatch):
     # a quotient whose trace form is zero reads as not semisimple
@@ -109,6 +146,49 @@ def test_radical_targets_gate_the_semisimple_quotient(target, capsys, monkeypatc
     assert doc["status"] == rep["status"] == "fail"
     assert rep["quotient_semisimple"] is False
     assert rep["loewy_length"] == rep["expected_loewy"]
+
+
+def test_algebra_verify_gates_the_quotient_at_n5(capsys, monkeypatch):
+    # the basic families run the quotient check at every size
+    monkeypatch.setattr(TableAlgebra, "radical", lambda self: Subspace.full(self.field, self.dim))
+    code, doc = run(capsys, ["algebra", "verify", "--family", "tensor-taft", "--n", "5"])
+    assert code == 1
+    rep = next(r for r in doc["reports"] if r["check"] == "radical")
+    assert doc["status"] == rep["status"] == "fail"
+    assert rep["quotient_semisimple"] is False
+    assert rep["equals_ideal_generated_by_a_d"] is True
+
+
+@pytest.mark.parametrize("keep_reason", [True, False])
+def test_quotient_not_run_passes_only_with_its_reason(keep_reason, capsys, monkeypatch):
+    # lower the bound below dim 81, so the deformed n = 3 algebra skips the check
+    monkeypatch.setattr(structure, "QUOTIENT_CHECK_MAX_DIM", 80)
+    real = cli.radical_report
+
+    def report(H):
+        rep = real(H)
+        if not keep_reason:
+            del rep["quotient_semisimple_reason"]
+        return rep
+
+    monkeypatch.setattr(cli, "radical_report", report)
+    code, doc = run(capsys, ["algebra", "verify", "--family", "hpq", "--p", "1", "--n", "3"])
+    rep = next(r for r in doc["reports"] if r["check"] == "radical")
+    assert rep["quotient_semisimple"] == "not run"
+    if keep_reason:
+        assert rep["quotient_semisimple_reason"] == (
+            "run on deformed algebras up to dimension 80; this one has dimension 81"
+        )
+    assert rep["status"] == ("pass" if keep_reason else "fail")
+    assert code == (0 if keep_reason else 1)
+
+
+def test_quotient_gate_reads_the_key():
+    with pytest.raises(KeyError):
+        cli._quotient_ok({})
+    assert cli._quotient_ok({"quotient_semisimple": True})
+    assert not cli._quotient_ok({"quotient_semisimple": False})
+    assert not cli._quotient_ok({"quotient_semisimple": "not run"})
 
 
 @pytest.mark.parametrize("argv", [
