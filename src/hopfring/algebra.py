@@ -363,24 +363,15 @@ class Algebra:
 
     # -- left multiplication matrices ---------------------------------------
 
-    def _lmul_rows(self, t):
-        """L_t as sparse rows: one dict column -> nonzero entry per row."""
+    def left_mult_matrix(self, name):
+        """L_t for the generator t = name, built from ``_lmul_gen``."""
+        t = self.letters.index(name)
         index = self.index
         rows = [{} for _ in range(self.dim)]
         for j, mono in enumerate(self.basis):
             for m2, c in self._lmul_gen(t, mono).items():
                 rows[index[m2]][j] = c
-        return rows
-
-    def left_mult_matrix(self, name):
-        z = self.field.zero
-        data = []
-        for row in self._lmul_rows(self.letters.index(name)):
-            dense = [z] * self.dim
-            for j, c in row.items():
-                dense[j] = c
-            data.append(dense)
-        return Mat(self.field, self.dim, self.dim, data)
+        return Mat(self.field, self.dim, self.dim, rows)
 
     # -- group idempotents ---------------------------------------------------
 
@@ -412,8 +403,7 @@ class Algebra:
         rewrite operators.  1 * u needs no check, since the unit's exponents
         are all zero and ``mono_mul(1, u)`` applies no operator at all.
         """
-        ops = [self._lmul_rows(t) for t in range(self.num_letters)]
-        bad = _relation_failures(self, ops)
+        bad = _relation_failures(self, [self.left_mult_matrix(name) for name in self.letters])
         if bad:
             raise AlgebraError(
                 "the rewrite operators violate relations: %s" % ", ".join(bad)
@@ -499,34 +489,19 @@ def defining_relations(H):
     return rels
 
 
-def _sparse_mul(a_rows, b_rows):
-    out = []
-    for arow in a_rows:
-        acc = {}
-        for k, av in arow.items():
-            _add_scaled(acc, av, b_rows[k])
-        out.append(acc)
-    return out
-
-
 def _relation_failures(H, ops):
-    """Names of defining relations violated by the generator operators, each
-    given as sparse rows (``Algebra._lmul_rows``).  The operators of these
-    algebras are permutation-like, so this is linear in the dimension."""
-    dim = len(ops[0])
-    eye = [{i: H.field.one} for i in range(dim)]
-
-    def add_scaled(total, c, m):
-        for acc, row in zip(total, m):
-            _add_scaled(acc, c, row)
-        return total
-
-    failures = []
-    for name, terms in defining_relations(H):
-        total = [{} for _ in range(dim)]
-        if any(eval_relation(terms, ops, eye, total, _sparse_mul, add_scaled)):
-            failures.append(name)
-    return failures
+    """Names of defining relations violated by the generator operators
+    (``Mat``s in letter order).  The operators of these algebras are
+    permutation-like, so on sparse rows this is linear in the dimension."""
+    f, dim = H.field, ops[0].rows
+    eye = Mat.identity(f, dim)
+    return [
+        name
+        for name, terms in defining_relations(H)
+        if not eval_relation(
+            terms, ops, eye, Mat.zeros(f, dim, dim), Mat.__mul__, Mat.add_scaled
+        ).is_zero()
+    ]
 
 
 def eval_relation(terms, gens, one, zero, mul, add_scaled, reverse=False):

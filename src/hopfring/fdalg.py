@@ -84,7 +84,7 @@ class TableAlgebra:
     def gram(self):
         form = trace_form(self.field, range(self.dim), self.basis_product)
         rows = [[form(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        return Mat(self.field, self.dim, self.dim, rows)
+        return Mat.from_rows(self.field, rows)
 
     def radical(self):
         if self._radical is None:

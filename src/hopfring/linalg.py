@@ -1,11 +1,14 @@
 """Exact linear algebra over Q(zeta_n).
 
-Matrices are row lists of CycloNum with zero-skipping inner loops.  There
-are two eliminations: the batch ``rref_rows``, whose pivots are chosen by a
+A matrix is a list of sparse rows (column -> nonzero CycloNum), the one
+form of module actions, regular representations, intertwiners and
+equation systems.  There are two eliminations: the batch ``rref_rows``,
+which works on a dense copy of its rows and whose pivots are chosen by a
 coefficient-size heuristic and normalized early to keep fraction growth in
 check (the elimination hot spot tracked by the benchmark harness), and the
-incremental ``SpanBuilder`` on sparse rows.  Subspaces are kept in reduced
-row echelon form, so they are canonical and comparable by equality.
+incremental ``SpanBuilder`` on sparse rows.  Subspaces are kept as dense
+rows in reduced row echelon form, so they are canonical and comparable by
+equality; ``Mat.apply`` takes and returns dense vectors.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ def _size(x):
     return total
 
 
+def _sparse(vec):
+    """A dense vector as a sparse row; a sparse row is copied."""
+    if isinstance(vec, dict):
+        return dict(vec)
+    return {j: c for j, c in enumerate(vec) if not c._is0}
+
+
 def _clear_column(rows, prow, col, ncols):
     """Subtract multiples of the normalized pivot row prow (pivot at col) from
     every row in rows, so that each has a zero in column col."""
@@ -72,8 +82,19 @@ def _residual(rows, pivots, ncols, vec, coords=None):
 
 
 def rref_rows(vectors, field, ncols):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    work = [list(v) for v in vectors if any(not c._is0 for c in v)]
+    """Reduced row echelon form of sparse rows or dense lists; returns the
+    dense rows and their pivot columns."""
+    z = field.zero
+    work = []
+    for v in vectors:
+        if isinstance(v, dict):
+            if v:
+                row = [z] * ncols
+                for j, c in v.items():
+                    row[j] = c
+                work.append(row)
+        elif any(not c._is0 for c in v):
+            work.append(list(v))
     done = []
     pivots = []
     for col in range(ncols):
@@ -106,126 +127,135 @@ def rref_rows(vectors, field, ncols):
 
 
 class Mat:
-    """Dense matrix over a cyclotomic field, stored as a list of rows."""
+    """Matrix over a cyclotomic field, stored as sparse rows.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    ``sparse_rows[i]`` maps column -> nonzero scalar; no row stores a zero,
+    which equality and hashing rely on.
+    """
 
-    def __init__(self, field, rows, cols, data):
+    __slots__ = ("field", "rows", "cols", "sparse_rows")
+
+    def __init__(self, field, rows, cols, sparse_rows):
+        if len(sparse_rows) != rows:
+            raise ValueError("matrix shape mismatch")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = data
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("matrix shape mismatch")
+        self.sparse_rows = sparse_rows
 
     @staticmethod
     def zeros(field, rows, cols):
-        z = field.zero
-        return Mat(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return Mat(field, rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(field, m):
-        z, o = field.zero, field.one
-        return Mat(field, m, m, [[o if i == j else z for j in range(m)] for i in range(m)])
+        one = field.one
+        return Mat(field, m, m, [{i: one} for i in range(m)])
 
     @staticmethod
     def from_rows(field, data):
+        """The matrix with the given dense rows."""
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        return Mat(field, rows, cols, [list(r) for r in data])
+        if any(len(r) != cols for r in data):
+            raise ValueError("matrix shape mismatch")
+        return Mat(field, rows, cols, [_sparse(r) for r in data])
 
     def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
+        i, j = ij
+        return self.sparse_rows[i].get(j, self.field.zero)
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and all(self.data[i][j] == other.data[i][j] for i in range(self.rows) for j in range(self.cols))
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def is_zero(self):
-        return all(c._is0 for r in self.data for c in r)
+        return not any(self.sparse_rows)
+
+    def add_scaled(self, c, other):
+        """Add c * other into this matrix in place and return it; only a
+        matrix the caller has just made may be updated this way."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("incompatible shapes for sum")
+        for acc, row in zip(self.sparse_rows, other.sparse_rows):
+            _add_scaled(acc, c, row)
+        return self
+
+    def _copy(self):
+        return Mat(self.field, self.rows, self.cols, [dict(r) for r in self.sparse_rows])
 
     def __add__(self, other):
-        return Mat(
-            self.field,
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
+        return self._copy().add_scaled(self.field.one, other)
 
     def __sub__(self, other):
+        return self._copy().add_scaled(-self.field.one, other)
+
+    def scale(self, c):
+        if c._is0:
+            return Mat.zeros(self.field, self.rows, self.cols)
         return Mat(
             self.field,
             self.rows,
             self.cols,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
+            [{j: v * c for j, v in r.items()} for r in self.sparse_rows],
         )
-
-    def __neg__(self):
-        return Mat(self.field, self.rows, self.cols, [[-a for a in r] for r in self.data])
-
-    def scale(self, c):
-        return Mat(self.field, self.rows, self.cols, [[a * c for a in r] for r in self.data])
 
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for product")
-        z = self.field.zero
-        out = [[z] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i, arow in enumerate(self.data):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if aik._is0:
-                    continue
-                brow = odata[k]
-                for j, bkj in enumerate(brow):
-                    if not bkj._is0:
-                        orow[j] = orow[j] + aik * bkj
+        brows = other.sparse_rows
+        out = []
+        for arow in self.sparse_rows:
+            acc = {}
+            for k, av in arow.items():
+                _add_scaled(acc, av, brows[k])
+            out.append(acc)
         return Mat(self.field, self.rows, other.cols, out)
 
     def apply(self, vec):
-        """Matrix times column vector (vector given as a list)."""
+        """Matrix times column vector (both dense lists)."""
         z = self.field.zero
-        out = [z] * self.rows
-        for i, arow in enumerate(self.data):
+        out = []
+        for row in self.sparse_rows:
             acc = z
-            for k, aik in enumerate(arow):
-                if not aik._is0:
-                    vk = vec[k]
-                    if not vk._is0:
-                        acc = acc + aik * vk
-            out[i] = acc
+            for k, v in row.items():
+                x = vec[k]
+                if not x._is0:
+                    acc = acc + v * x
+            out.append(acc)
         return out
 
     def transpose(self):
-        return Mat(
-            self.field,
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row.items():
+                out[j][i] = v
+        return Mat(self.field, self.cols, self.rows, out)
 
     def trace(self):
         t = self.field.zero
-        for i in range(min(self.rows, self.cols)):
-            t = t + self.data[i][i]
+        for i, row in enumerate(self.sparse_rows):
+            v = row.get(i)
+            if v is not None:
+                t = t + v
         return t
 
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
     def to_json(self):
+        z = self.field.zero.serialize()
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[c.serialize() for c in r] for r in self.data],
+            "entries": [
+                [r[j].serialize() if j in r else z for j in range(self.cols)]
+                for r in self.sparse_rows
+            ],
         }
 
     def __repr__(self):
@@ -254,8 +284,9 @@ class Subspace:
 
     @staticmethod
     def full(field, ambient):
-        eye = Mat.identity(field, ambient)
-        return Subspace(field, ambient, eye.data, list(range(ambient)))
+        z, one = field.zero, field.one
+        eye = [[one if i == j else z for j in range(ambient)] for i in range(ambient)]
+        return Subspace(field, ambient, eye, list(range(ambient)))
 
     @property
     def dim(self):
@@ -335,10 +366,7 @@ class SpanBuilder:
     def insert(self, vec):
         """Add a sparse row (column -> scalar) or a dense list to the span,
         leaving it unchanged; True when the span grew."""
-        if isinstance(vec, dict):
-            row = dict(vec)
-        else:
-            row = {j: c for j, c in enumerate(vec) if not c._is0}
+        row = _sparse(vec)
         rows = self._rows
         while row:
             lead = min(row)
@@ -376,15 +404,14 @@ class SpanBuilder:
 
 def kernel_basis(m):
     """Canonical echelon basis of the right kernel {v : Mv = 0}."""
-    rows, pivots = rref_rows(m.data, m.field, m.cols)
+    rows, pivots = rref_rows(m.sparse_rows, m.field, m.cols)
     pivset = set(pivots)
-    z, o = m.field.zero, m.field.one
+    one = m.field.one
     vecs = []
     for f in range(m.cols):
         if f in pivset:
             continue
-        v = [z] * m.cols
-        v[f] = o
+        v = {f: one}
         for row, p in zip(rows, pivots):
             if not row[f]._is0:
                 v[p] = -row[f]
@@ -395,18 +422,23 @@ def kernel_basis(m):
 
 
 def rank(m):
-    _, pivots = rref_rows(m.data, m.field, m.cols)
+    _, pivots = rref_rows(m.sparse_rows, m.field, m.cols)
     return len(pivots)
 
 
 def image(m):
     """Column space of M as a subspace of field^rows."""
-    return Subspace.from_vectors(m.field, m.rows, m.transpose().data)
+    return Subspace.from_vectors(m.field, m.rows, m.transpose().sparse_rows)
 
 
 def solve(m, b):
     """One solution of Mx = b, or None when the system is inconsistent."""
-    aug = [list(row) + [bv] for row, bv in zip(m.data, b)]
+    aug = []
+    for row, bv in zip(m.sparse_rows, b):
+        row = dict(row)
+        if not bv._is0:
+            row[m.cols] = bv
+        aug.append(row)
     rows, pivots = rref_rows(aug, m.field, m.cols + 1)
     x = [m.field.zero] * m.cols
     for row, p in zip(rows, pivots):
@@ -417,32 +449,37 @@ def solve(m, b):
 
 
 def kronecker(a, b):
-    """Tensor product matrix, left factor major: (i_a*rb + i_b, j_a*cb + j_b)."""
-    field = a.field
-    z = field.zero
-    rb, cb = b.rows, b.cols
-    out = [[z] * (a.cols * cb) for _ in range(a.rows * rb)]
-    for ia, arow in enumerate(a.data):
-        for ja, av in enumerate(arow):
-            if av._is0:
-                continue
-            for ib, brow in enumerate(b.data):
-                orow = out[ia * rb + ib]
+    """Tensor product matrix, left factor major: (i_a*rb + i_b, j_a*cb + j_b).
+
+    Either factor may be an int d, standing for the d x d identity: the
+    other factor's entries are then copied, not multiplied by one.
+    """
+    if isinstance(a, int):
+        cb = b.cols
+        out = [
+            {i * cb + j: v for j, v in brow.items()} for i in range(a) for brow in b.sparse_rows
+        ]
+        return Mat(b.field, a * b.rows, a * cb, out)
+    if isinstance(b, int):
+        out = [{j * b + i: v for j, v in arow.items()} for arow in a.sparse_rows for i in range(b)]
+        return Mat(a.field, a.rows * b, a.cols * b, out)
+    cb = b.cols
+    out = []
+    for arow in a.sparse_rows:
+        for brow in b.sparse_rows:
+            orow = {}
+            for ja, av in arow.items():
                 base = ja * cb
-                for jb, bv in enumerate(brow):
-                    if not bv._is0:
-                        orow[base + jb] = av * bv
-    return Mat(field, a.rows * rb, a.cols * cb, out)
+                for jb, bv in brow.items():
+                    orow[base + jb] = av * bv
+            out.append(orow)
+    return Mat(a.field, a.rows * b.rows, a.cols * cb, out)
 
 
 def restrict_operator(t, w):
     """Matrix of t on the basis of the invariant subspace w (raises otherwise)."""
-    cols = []
-    for row in w.rows:
-        img = t.apply(list(row))
-        cols.append(w.coords(img))
-    d = w.dim
-    return Mat(t.field, d, d, [[cols[j][i] for j in range(d)] for i in range(d)])
+    cols = [w.coords(t.apply(list(row))) for row in w.rows]
+    return Mat.from_rows(t.field, cols).transpose()
 
 
 def quotient_operator(t, w):
@@ -456,8 +493,7 @@ def quotient_operator(t, w):
         e[j] = t.field.one
         resid = w.reduce(t.apply(e))
         cols.append([resid[i] for i in comp])
-    d = len(comp)
-    return Mat(t.field, d, d, [[cols[j][i] for j in range(d)] for i in range(d)])
+    return Mat.from_rows(t.field, cols).transpose()
 
 
 def invert(m):
@@ -465,12 +501,9 @@ def invert(m):
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     d = m.rows
-    aug = [
-        list(row) + list(eye_row)
-        for row, eye_row in zip(m.data, Mat.identity(m.field, d).data)
-    ]
+    one = m.field.one
+    aug = [{**row, d + i: one} for i, row in enumerate(m.sparse_rows)]
     rows, pivots = rref_rows(aug, m.field, 2 * d)
     if pivots[:d] != list(range(d)):
         raise ValueError("matrix not invertible")
-    return Mat(m.field, d, d, [row[d:] for row in rows])
-
+    return Mat.from_rows(m.field, [row[d:] for row in rows])

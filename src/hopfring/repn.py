@@ -1,7 +1,8 @@
 """Modules as exact matrix representations, and their decompositions.
 
-A module carries one matrix per generator; defining relations are checked
-on construction.  The grouplikes b, c act semisimply with root-of-unity
+A module carries one sparse-row ``Mat`` per generator, from the build
+through the tensor products to the relation check, which runs on
+construction.  The grouplikes b, c act semisimply with root-of-unity
 eigenvalues, so every module has a weight decomposition; modules built
 from catalogued pieces keep track of a weight basis, which collapses the
 Hom-space and multiplicity computations to small block systems.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import _ratio, _relation_failures
+from .algebra import _merge, _ratio, _relation_failures
 from .hopf import hopf_maps
 from .labels import Label
 from .linalg import (
@@ -59,9 +60,8 @@ class ModuleError(Exception):
 
 def check_module_relations(H, acts):
     """Names of defining relations violated by the action matrices
-    (``acts`` in letter order), evaluated on sparse rows."""
-    ops = [[{j: v for j, v in enumerate(row) if not v._is0} for row in m.data] for m in acts]
-    return _relation_failures(H, ops)
+    (``acts`` in letter order)."""
+    return _relation_failures(H, acts)
 
 
 class Module:
@@ -88,35 +88,21 @@ class Module:
                 self._verify_weights()
 
     def _verify_weights(self):
-        H = self.algebra
-        f = H.field
-        for name in ("b", "c"):
-            mat = self.acts[name]
-            pos = 0 if name == "b" else 1
-            for i in range(self.dim):
-                row = mat.data[i]
-                for j, v in enumerate(row):
-                    if v._is0:
-                        continue
-                    if i != j or v != f.q_pow(self.weights[j][pos]):
-                        raise ModuleError(
-                            "declared weights are not a weight basis for %r"
-                            % (self.label,)
-                        )
-                if mat.data[i][i]._is0:
-                    raise ModuleError(
-                        "declared weights are not a weight basis for %r"
-                        % (self.label,)
-                    )
+        """b and c must act on basis vector i by exactly q^(weight i)."""
+        q_pow = self.algebra.field.q_pow
+        ok = len(self.weights) == self.dim and all(
+            row == {i: q_pow(w[pos])}
+            for pos, name in enumerate(("b", "c"))
+            for i, (row, w) in enumerate(zip(self.acts[name].sparse_rows, self.weights))
+        )
+        if not ok:
+            raise ModuleError("declared weights are not a weight basis for %r" % (self.label,))
 
     def act_elt(self, elt):
         """Matrix of an algebra element (cached per PBW monomial)."""
         out = Mat.zeros(self.algebra.field, self.dim, self.dim)
         for mono, c in elt.terms.items():
-            for orow, mrow in zip(out.data, self._mono_matrix(mono).data):
-                for j, v in enumerate(mrow):
-                    if not v._is0:
-                        orow[j] = orow[j] + v * c
+            out.add_scaled(c, self._mono_matrix(mono))
         return out
 
     def _mono_matrix(self, mono):
@@ -195,18 +181,13 @@ def module_from_vectors(H, vectors, label=None):
     sub = span.to_subspace()
     weights = [_left_weight(H, v) for v in vectors]
     # coordinates of g*v_k in the chosen basis, through the echelon coordinates
-    m = len(vectors)
-    cob_cols = [sub.coords(v.as_vector()) for v in vectors]
-    cob = Mat(H.field, m, m, [[cob_cols[j][i] for j in range(m)] for i in range(m)])
+    cob = Mat.from_rows(H.field, [sub.coords(v.as_vector()) for v in vectors]).transpose()
     cobinv = invert(cob)
     acts = {}
     for name in H.letters:
         g = H.gen(name)
-        cols = []
-        for v in vectors:
-            img = g * v
-            cols.append(cobinv.apply(sub.coords(img.as_vector())))
-        acts[name] = Mat(H.field, m, m, [[cols[j][i] for j in range(m)] for i in range(m)])
+        cols = [cobinv.apply(sub.coords((g * v).as_vector())) for v in vectors]
+        acts[name] = Mat.from_rows(H.field, cols).transpose()
     return Module(H, acts, label=label, weights=weights)
 
 
@@ -259,26 +240,22 @@ def tensor_module(M, N, check=True):
     """Tensor product along the coproduct; relations are re-verified.
 
     Generator t acts as the sum of c * kron(l, r) over the terms of
-    ``HopfMaps._delta_gen[t]``, whose legs are the unit or one generator."""
+    ``HopfMaps._delta_gen[t]``, whose legs are the unit (passed to
+    ``kronecker`` as the module's dimension) or one generator."""
     H = M.algebra
     if N.algebra is not H:
         raise ModuleError("tensor factors live over different algebras")
     maps = hopf_maps(H)
-    f = H.field
-    eyeM = Mat.identity(f, M.dim)
-    eyeN = Mat.identity(f, N.dim)
 
-    def leg(mod, eye, mono):
-        return eye if mono == maps._unit else mod.acts[H.letters[mono.index(1)]]
+    def leg(mod, mono):
+        return mod.dim if mono == maps._unit else mod.acts[H.letters[mono.index(1)]]
 
+    dim = M.dim * N.dim
     acts = {}
     for t, name in enumerate(H.letters):
-        act = None
+        act = Mat.zeros(H.field, dim, dim)
         for (l, r), c in maps._delta_gen[t].items():
-            term = kronecker(leg(M, eyeM, l), leg(N, eyeN, r))
-            if c != f.one:
-                term = term.scale(c)
-            act = term if act is None else act + term
+            act.add_scaled(c, kronecker(leg(M, l), leg(N, r)))
         acts[name] = act
     weights = None
     if M.weights is not None and N.weights is not None:
@@ -347,7 +324,7 @@ def weightized(M):
         for row in wd[w].rows:
             cols.append(list(row))
             weights.append(w)
-    p = Mat(f, M.dim, M.dim, [[cols[j][i] for j in range(M.dim)] for i in range(M.dim)])
+    p = Mat.from_rows(f, cols).transpose()
     pinv = invert(p)
     acts = {name: pinv * M.acts[name] * p for name in M.acts}
     out = Module(H, acts, label=M.label, weights=weights, check=False)
@@ -393,8 +370,8 @@ def hom_dim(M, N):
     n = H.n
     for name in ("a", "d"):
         sh = H.weight_shift(name)
-        AM = Mw.acts[name]
-        AN = Nw.acts[name]
+        AM = Mw.acts[name].sparse_rows
+        AN = Nw.acts[name].sparse_rows
         for w in sorted(idxM):
             colsM = idxM[w]
             wt = ((w[0] + sh[0]) % n, (w[1] + sh[1]) % n)
@@ -407,24 +384,20 @@ def hom_dim(M, N):
             #   sum_r f_wt[p, r] AM[r, q] - sum_s AN[p, s] f_w[s, q] = 0
             for pi, p in enumerate(tgtN):
                 for qi, q in enumerate(colsM):
-                    row = [f.zero] * unknowns
-                    nonzero = False
+                    row = {}
                     if tgt_block is not None:
                         _, trows, tcols, toff = tgt_block
                         for ri, r in enumerate(tcols):
-                            cme = AM.data[r][q]
-                            if not cme.is_zero():
+                            cme = AM[r].get(q)
+                            if cme is not None:
                                 row[toff + pi * len(tcols) + ri] = cme
-                                nonzero = True
                     if src_block is not None:
                         _, rowsN, scols, soff = src_block
                         for si, s in enumerate(rowsN):
-                            cne = AN.data[p][s]
-                            if not cne.is_zero():
-                                pos = soff + si * len(scols) + qi
-                                row[pos] = row[pos] - cne
-                                nonzero = True
-                    if nonzero:
+                            cne = AN[p].get(s)
+                            if cne is not None:
+                                _merge(row, soff + si * len(scols) + qi, -cne)
+                    if row:
                         eqs.append(row)
     if eqs:
         mat = Mat(f, len(eqs), unknowns, eqs)
@@ -435,12 +408,14 @@ def hom_dim(M, N):
     def builder():
         mats = []
         for kv in ker.rows:
-            fw = Mat.zeros(f, Nw.dim, Mw.dim)
+            rows = [{} for _ in range(Nw.dim)]
             for w, rowsN, colsM, off in blocks:
                 for pi, p in enumerate(rowsN):
                     for qi, q in enumerate(colsM):
-                        fw.data[p][q] = kv[off + pi * len(colsM) + qi]
-            out = fw
+                        c = kv[off + pi * len(colsM) + qi]
+                        if not c._is0:
+                            rows[p][q] = c
+            out = Mat(f, Nw.dim, Mw.dim, rows)
             if trN is not None:
                 out = trN[0] * out  # P_N f
             if trM is not None:
@@ -473,7 +448,7 @@ def radical_submodule(M, sub=None):
     """
     H = M.algebra
     sb = SpanBuilder(H.field, M.dim)
-    base_rows = sub.rows if sub is not None else Mat.identity(H.field, M.dim).data
+    base_rows = (sub if sub is not None else Subspace.full(H.field, M.dim)).rows
     mats = M._radical_mats
     if mats is None:
         mats = M._radical_mats = [M.act_elt(g) for g in radical_ideal_generators(H)]
@@ -662,9 +637,9 @@ class ModuleCatalog:
             _, rows = self.char_matrix()
             k = len(rows)
             f = self.algebra.field
-            m = Mat(f, k, k, [[f.from_int(rows[i][j]) for i in range(k)] for j in range(k)])
+            m = Mat.from_rows(f, [[f.from_int(rows[i][j]) for i in range(k)] for j in range(k)])
             try:
-                self._char_inverse = invert(m).data
+                self._char_inverse = invert(m)
             except ValueError:
                 self._char_inverse = "singular"
         return self._char_inverse
@@ -683,8 +658,8 @@ class ModuleCatalog:
             vec = [wd.get(w, 0) for w in wkeys]
             zero = H.field.zero
             out = []
-            for row in inv:
-                x = sum((c * v for c, v in zip(row, vec) if v), zero).as_int()
+            for row in inv.sparse_rows:
+                x = sum((c * vec[j] for j, c in row.items() if vec[j]), zero).as_int()
                 if x is None or x < 0:
                     raise ModuleError("character system has no integral solution")
                 out.append(x)
@@ -802,11 +777,7 @@ def _split_summands(E, simples):
     comp = je.complement_indices()
     # h: E -> V descending to the top, paired against f: V -> top
     g_E = hom_dim(E, V).intertwiners()
-    g_top = []
-    for g in g_E:
-        g_top.append(
-            Mat(f, V.dim, len(comp), [[g.data[r][c] for c in comp] for r in range(V.dim)])
-        )
+    g_top = [Mat.from_rows(f, [[g[r, c] for c in comp] for r in range(V.dim)]) for g in g_E]
     f_top = hom_dim(V, top_mod).intertwiners()
     m = len(f_top)
     if len(g_top) != m or m == 0:
@@ -816,17 +787,16 @@ def _split_summands(E, simples):
         row = []
         for ft in f_top:
             comp_mat = g * ft
-            lam = comp_mat.data[0][0]
+            lam = comp_mat[0, 0]
             if comp_mat != Mat.identity(f, V.dim).scale(lam):
                 raise ModuleError("composite endomorphism of a simple is not scalar")
             row.append(lam)
         pairing.append(row)
-    pm = Mat(f, m, m, pairing)
-    pm_inv = invert(pm)
+    pm_inv = invert(Mat.from_rows(f, pairing))
     # h_1 := sum_j inv[0][j] g_top[j] satisfies h_1 f_k = delta(1, k)
     h1 = None
     for jdx in range(m):
-        c = pm_inv.data[0][jdx]
+        c = pm_inv[0, jdx]
         if c.is_zero():
             continue
         term = g_top[jdx].scale(c)
@@ -845,14 +815,8 @@ def _split_summands(E, simples):
         cols.append(
             [qcols[cc][rr] for rr in range(len(comp)) for cc in range(len(comp))]
         )
-    target = [e_top.data[r][c] for r in range(len(comp)) for c in range(len(comp))]
-    mat = Mat(
-        f,
-        len(target),
-        len(end_basis),
-        [[cols[j][i] for j in range(len(end_basis))] for i in range(len(target))],
-    )
-    x = solve(mat, target)
+    target = [e_top[r, c] for r in range(len(comp)) for c in range(len(comp))]
+    x = solve(Mat.from_rows(f, cols).transpose(), target)
     if x is None:
         raise ModuleError("top projection does not lift to an endomorphism")
     eta = None

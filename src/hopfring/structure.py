@@ -52,14 +52,11 @@ def jacobson_radical(H):
     for grade, monos in classes.items():
         ng = ((n - grade[0]) % n, (n - grade[1]) % n)
         partners = classes.get(ng, [])
-        rows = [[form(u, v) for u in monos] for v in partners]
-        ker = kernel_basis(Mat(field, len(partners), len(monos), rows))
-        for kv in ker.rows:
-            vec = [field.zero] * H.dim
-            for coeff, m in zip(kv, monos):
-                if not coeff.is_zero():
-                    vec[H.index[m]] = coeff
-            vectors.append(vec)
+        # one row per partner v, one column per u in monos (built by columns,
+        # so the shape holds with no partners)
+        cols = [[form(u, v) for v in partners] for u in monos]
+        for kv in kernel_basis(Mat.from_rows(field, cols).transpose()).rows:
+            vectors.append({H.index[m]: c for c, m in zip(kv, monos) if not c._is0})
     H._radical = Subspace.from_vectors(field, H.dim, vectors)
     return H._radical
 
@@ -270,28 +267,20 @@ def _solve_in_span(H, candidates, constraints):
     Returns the solution space as a canonical Subspace of the ambient.
     """
     field = H.field
-    rows = []  # stacked constraint images, one column per candidate
-    images = []
+    images = []  # stacked constraint images, one column per candidate
     for v in candidates:
         col = []
         for con in constraints:
             col.extend(con(v).as_vector())
         images.append(col)
-    height = len(images[0]) if images else 0
-    mat = Mat(
-        field,
-        height,
-        len(candidates),
-        [[images[j][i] for j in range(len(candidates))] for i in range(height)],
-    )
-    ker = kernel_basis(mat)
+    ker = kernel_basis(Mat.from_rows(field, images).transpose())
     vecs = []
     for kv in ker.rows:
         acc = H.zero_elt
         for coeff, v in zip(kv, candidates):
             if not coeff.is_zero():
                 acc = acc + v.scale(coeff)
-        vecs.append(acc.as_vector())
+        vecs.append(acc.as_row())
     return Subspace.from_vectors(field, H.dim, vecs)
 
 
@@ -447,9 +436,8 @@ def blocks_isomorphic_H0(H):
             if ei * x != x or x * ei != x:
                 unit_ok = False
         # change of basis from the canonical echelon rows to the labeled basis
-        m = span.dim
         cols = [span.coords(x.as_vector()) for (_, x) in basis_elts]
-        cob = Mat(H.field, m, m, [[col[r] for col in cols] for r in range(m)])
+        cob = Mat.from_rows(H.field, cols).transpose()
         labels = [lab for lab, _ in basis_elts]
         sol = _invert(cob)
         table = {}

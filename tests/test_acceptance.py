@@ -157,10 +157,13 @@ def test_criterion2_structure_facts(n):
 def test_criterion3_fusion_oracle_n3():
     with timer(3) as t:
         sizes = {}
+        agree = True
         for fam in ("tensor_taft", "hpq0", "hpq1"):
             table = fusion_table(fam, 3, "crosscheck")
             sizes[fam] = len(table.entries)
-        ok = sizes == {"tensor_taft": 324, "hpq0": 324, "hpq1": 225}
+            agree = agree and table.mode == "crosscheck"
+            agree = agree and table.computed_entries == table.entries
+        ok = agree and sizes == {"tensor_taft": 324, "hpq0": 324, "hpq1": 225}
     report("3a: fusion oracle equivalence, n=3, three grids", ok, "%.1fs" % t.dt)
 
 

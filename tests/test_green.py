@@ -122,13 +122,6 @@ def test_case_coverage_n3_misses_case8():
     assert "case08" not in table.coverage
 
 
-@pytest.mark.parametrize("fam", ["tensor_taft", "hpq0", "hpq1"])
-def test_fusion_crosscheck_n3(fam):
-    table = fusion_table(fam, 3, "crosscheck")
-    assert table.mode == "crosscheck"
-    assert table.computed_entries == table.entries
-
-
 def test_presentations_n3():
     rep = verify_presentation("tensor_taft", 3)
     assert rep["status"] == "pass", rep

@@ -100,9 +100,9 @@ def test_trace_form_of_cyclotomic_field_is_nondegenerate():
     table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: -one, 1: -one}}
     form = trace_form(F3, [0, 1], lambda u, v: table[(u, v)])
     gram = Mat.from_rows(F3, [[form(i, j) for j in range(2)] for i in range(2)])
-    assert gram.data[0][0] == F3.from_int(2)
-    assert gram.data[0][1] == gram.data[1][0] == -one
-    assert gram.data[1][1] == -one
+    assert gram[0, 0] == F3.from_int(2)
+    assert gram[0, 1] == gram[1, 0] == -one
+    assert gram[1, 1] == -one
     assert kernel_basis(gram).dim == 0
 
 
@@ -129,7 +129,7 @@ def test_image_dimension():
     m = rand_mat(F3, 4, 3, rng)
     assert image(m).dim == rank(m)
     for j in range(3):
-        assert image(m).contains(m.column(j))
+        assert image(m).contains([m[i, j] for i in range(m.rows)])
 
 
 def test_restriction_and_quotient_commute_with_inclusion():
@@ -158,7 +158,7 @@ def test_restriction_and_quotient_commute_with_inclusion():
     assert r.rows == 2
     qop = quotient_operator(t, w)
     assert qop.rows == 1
-    assert qop.data[0][0] == q
+    assert qop[0, 0] == q
 
 
 def test_restriction_rejects_noninvariant():
@@ -222,6 +222,11 @@ def fields_and_matrices(draw, max_rows=5, max_cols=6):
     return F, a * b
 
 
+def dense(m):
+    """The entries of m as dense rows, read through indexing."""
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
 def _combine(F, coeffs, vectors, ncols):
     out = [F.zero] * ncols
     for c, v in zip(coeffs, vectors):
@@ -243,7 +248,7 @@ def test_rank_nullity_property(fm):
 @given(fields_and_matrices(), st.randoms(use_true_random=False))
 def test_from_vectors_invariant_under_row_operations(fm, rng):
     F, m = fm
-    vecs = [list(r) for r in m.data]
+    vecs = dense(m)
     s1 = Subspace.from_vectors(F, m.cols, vecs)
     mixed = list(vecs)
     rng.shuffle(mixed)
@@ -260,7 +265,7 @@ def test_from_vectors_invariant_under_row_operations(fm, rng):
 @given(fields_and_matrices(), st.randoms(use_true_random=False))
 def test_span_builder_any_insertion_order(fm, rng):
     F, m = fm
-    vecs = [list(r) for r in m.data]
+    vecs = dense(m)
     batch = Subspace.from_vectors(F, m.cols, vecs)
     order = list(vecs)
     rng.shuffle(order)
@@ -274,15 +279,15 @@ def test_span_builder_any_insertion_order(fm, rng):
 @given(fields_and_matrices(), st.data())
 def test_coords_rebuild_and_reduce_detects_membership(fm, data):
     F, m = fm
-    span = Subspace.from_vectors(F, m.cols, m.data)
+    span = Subspace.from_vectors(F, m.cols, dense(m))
     elts = _elements(F)
     coeffs = data.draw(st.lists(elts, min_size=m.rows, max_size=m.rows))
-    inside = _combine(F, coeffs, m.data, m.cols)
+    inside = _combine(F, coeffs, dense(m), m.cols)
     coords = span.coords(inside)
     assert _combine(F, coords, span.rows, m.cols) == inside
     assert all(c.is_zero() for c in span.reduce(inside))
     other = data.draw(st.lists(elts, min_size=m.cols, max_size=m.cols))
-    contained = rank(Mat.from_rows(F, list(m.data) + [other])) == span.dim
+    contained = rank(Mat.from_rows(F, dense(m) + [other])) == span.dim
     assert all(c.is_zero() for c in span.reduce(other)) == contained
     assert span.contains(other) == contained
     if not contained:
@@ -298,7 +303,7 @@ def test_solve_none_exactly_when_inconsistent(fm, data):
         st.lists(_elements(F), min_size=m.rows, max_size=m.rows),
         st.lists(_elements(F), min_size=m.cols, max_size=m.cols).map(m.apply),
     ))
-    aug = Mat.from_rows(F, [list(r) + [bv] for r, bv in zip(m.data, b)])
+    aug = Mat.from_rows(F, [r + [bv] for r, bv in zip(dense(m), b)])
     x = solve(m, b)
     assert (x is None) == (rank(aug) > rank(m))
     if x is not None:
@@ -309,7 +314,8 @@ def test_solve_none_exactly_when_inconsistent(fm, data):
 @given(fields_and_matrices(max_rows=5, max_cols=5))
 def test_invert_is_two_sided_inverse(fm):
     F, m = fm
-    sq = Mat.from_rows(F, [r[: min(m.rows, m.cols)] for r in m.data[: min(m.rows, m.cols)]])
+    k = min(m.rows, m.cols)
+    sq = Mat.from_rows(F, [r[:k] for r in dense(m)[:k]])
     if rank(sq) < sq.rows:
         with pytest.raises(ValueError):
             invert(sq)
@@ -317,6 +323,102 @@ def test_invert_is_two_sided_inverse(fm):
     inv = invert(sq)
     eye = Mat.identity(F, sq.rows)
     assert inv * sq == eye and sq * inv == eye
+
+
+# -- the sparse rows of Mat against a dense reference ---------------------------
+
+
+def _no_stored_zeros(m):
+    """Every stored entry is a nonzero scalar inside the shape (equality and
+    hashing of Mat depend on it)."""
+    assert len(m.sparse_rows) == m.rows
+    for row in m.sparse_rows:
+        for j, v in row.items():
+            assert 0 <= j < m.cols and not v.is_zero()
+
+
+def _draw_matrix(data, F, rows, cols):
+    elts = _elements(F)
+    return data.draw(st.lists(st.lists(elts, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+
+
+def _dense_product(F, x, y, inner):
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(inner)), F.zero) for j in range(len(y[0]))]
+        for i in range(len(x))
+    ]
+
+
+def _dense_kron(x, y):
+    return [
+        [x[ia][ja] * y[ib][jb] for ja in range(len(x[0])) for jb in range(len(y[0]))]
+        for ia in range(len(x))
+        for ib in range(len(y))
+    ]
+
+
+@PROPS
+@given(fields_and_matrices(), st.data())
+def test_sparse_arithmetic_matches_dense(fm, data):
+    F, m = fm
+    r, c = m.rows, m.cols
+    dm = dense(m)
+    other = _draw_matrix(data, F, r, c)
+    k = data.draw(st.integers(1, 4))
+    right = _draw_matrix(data, F, c, k)
+    om, rm = Mat.from_rows(F, other), Mat.from_rows(F, right)
+    assert dense(om) == other and dense(rm) == right
+    results = {
+        "+": (m + om, [[x + y for x, y in zip(a, b)] for a, b in zip(dm, other)]),
+        "-": (m - om, [[x - y for x, y in zip(a, b)] for a, b in zip(dm, other)]),
+        "*": (m * rm, _dense_product(F, dm, right, c)),
+        "transpose": (m.transpose(), [[dm[i][j] for i in range(r)] for j in range(c)]),
+        "kronecker": (kronecker(m, rm), _dense_kron(dm, right)),
+        "scale": (m.scale(F.q), [[x * F.q for x in a] for a in dm]),
+    }
+    for name, (got, ref) in results.items():
+        _no_stored_zeros(got)
+        assert (got.rows, got.cols) == (len(ref), len(ref[0])), name
+        assert dense(got) == ref, name
+    _no_stored_zeros(m.scale(F.zero))
+    assert m.scale(F.zero) == Mat.zeros(F, r, c)
+    vec = data.draw(st.lists(_elements(F), min_size=c, max_size=c))
+    assert m.apply(vec) == [sum((x * v for x, v in zip(a, vec)), F.zero) for a in dm]
+    assert m.trace() == sum((dm[i][i] for i in range(min(r, c))), F.zero)
+    assert m.to_json() == {
+        "rows": r, "cols": c, "entries": [[x.serialize() for x in a] for a in dm],
+    }
+
+
+@PROPS
+@given(fields_and_matrices(), st.integers(1, 3))
+def test_kronecker_with_an_identity_factor_given_by_size(fm, d):
+    F, m = fm
+    eye = Mat.identity(F, d)
+    for got, ref in ((kronecker(d, m), kronecker(eye, m)), (kronecker(m, d), kronecker(m, eye))):
+        _no_stored_zeros(got)
+        assert got == ref and hash(got) == hash(ref)
+
+
+@PROPS
+@given(fields_and_matrices(), st.data())
+def test_equality_and_hash_follow_the_entries(fm, data):
+    F, m = fm
+    same = Mat.from_rows(F, dense(m))
+    assert same == m and hash(same) == hash(m)
+    # a sum that cancels leaves no zero behind, so it equals the zero matrix
+    diff = m - same
+    _no_stored_zeros(diff)
+    zero = Mat.zeros(F, m.rows, m.cols)
+    assert diff == zero and hash(diff) == hash(zero) and diff.is_zero()
+    assert m + zero == m
+    i = data.draw(st.integers(0, m.rows - 1))
+    j = data.draw(st.integers(0, m.cols - 1))
+    bumped = dense(m)
+    bumped[i][j] = bumped[i][j] + F.one
+    assert Mat.from_rows(F, bumped) != m
+    assert m != Mat.zeros(F, m.rows, m.cols + 1)
 
 
 # -- the incremental span on sparse and dense rows -------------------------------

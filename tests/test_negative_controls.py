@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from hopfring import cli, green, structure
+from hopfring.algebra import AlgebraSpec, build_algebra
 from hopfring.fdalg import TableAlgebra
 from hopfring.labels import basis_labels, format_combination, parse_label
-from hopfring.linalg import Subspace
+from hopfring.linalg import Mat, Subspace
+from hopfring.repn import Module, module_catalog
 
 # target -> (family, A, B, label, check): the closed-form product A*B (and
 # B*A) gets one more copy of label, and the named check must fail.  Each
@@ -47,7 +49,7 @@ CLOSED_FORM_CONTROLS = {
     "lemma5.1": ("hpq1", "V(2,0)", "V(2,0)", "V(1,1)", "V(2,0) x V(2,0)"),
 }
 
-OTHER_CONTROLS = {"cor3.4", "cor4.4", "blocks"}
+OTHER_CONTROLS = {"cor3.4", "cor4.4", "cor3.5", "blocks"}
 
 # controls kept in test_cli.py, next to the target's other CLI tests
 ELSEWHERE = {
@@ -55,7 +57,7 @@ ELSEWHERE = {
     "tensor-iso": "test_verify_tensor_iso_fails_on_corrupt_taft_product",
 }
 
-UNCOVERED = {"prop4.1", "prop4.6", "cor3.5"}
+UNCOVERED = {"prop4.1", "prop4.6"}
 
 
 def run(capsys, argv):
@@ -146,6 +148,24 @@ def test_radical_targets_gate_the_semisimple_quotient(target, capsys, monkeypatc
     assert doc["status"] == rep["status"] == "fail"
     assert rep["quotient_semisimple"] is False
     assert rep["loewy_length"] == rep["expected_loewy"]
+
+
+def test_covers_target_gates_simple_tops(capsys, monkeypatch):
+    # a cover on which a acts by zero keeps its dimension, but d alone
+    # cannot reach its whole radical, so its top is no longer simple
+    H = build_algebra(AlgebraSpec("tensor_taft", 3))
+    cat = module_catalog(H)
+    lab = cat.labels[0]
+    P = cat.pims[lab]
+    acts = dict(P.acts, a=Mat.zeros(H.field, P.dim, P.dim))
+    broken = Module(H, acts, label=P.label, weights=P.weights, check=False)
+    monkeypatch.setitem(cat.pims, lab, broken)
+    code, doc = run(capsys, ["verify", "cor3.5", "--n", "3"])
+    assert code == 1
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    assert rep["tops_simple"] is False
+    assert rep["cover_dim"] == 9
 
 
 def test_algebra_verify_gates_the_quotient_at_n5(capsys, monkeypatch):
