@@ -12,7 +12,8 @@ Products of PBW monomials are computed by a terminating rewriting system
 that moves generators into alphabetical order and reduces n-th powers;
 the one fanning rule is d past a in the deformed family.  The
 generator-level rewrites, their letter powers and the resulting basis-pair
-products are memoized, which is what makes the larger orders feasible.
+products are memoized, which is what makes the larger orders feasible;
+products needed only once (the trace form's) bypass the pair memo.
 
 Construction proves the product associative.  ``mono_mul(u, v)`` is
 L_u(v), a composite of the operators L_t = ``_lmul_gen(t, .)``; the build
@@ -301,12 +302,18 @@ class Algebra:
         return cached
 
     def mono_mul(self, u, v):
-        """Product of two PBW monomials as a dict of normal-form terms: the
-        letter powers L_d^(u_d), L_c^(u_c), ... applied to v in turn."""
+        """``_mono_product(u, v)``, memoized (read-only)."""
         key = (u, v)
         cached = self._pair_memo.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._pair_memo[key] = self._mono_product(u, v)
+        return cached
+
+    def _mono_product(self, u, v):
+        """Product of two PBW monomials as a dict of normal-form terms: the
+        letter powers L_d^(u_d), L_c^(u_c), ... applied to v in turn.  Not
+        memoized, for products needed once; read-only, since it may be a
+        ``_lmul_pow`` memo entry."""
         cur = None
         for t in range(self.num_letters - 1, -1, -1):
             e = u[t]
@@ -323,7 +330,6 @@ class Algebra:
                 break
         if cur is None:
             cur = {v: self.field.one}
-        self._pair_memo[key] = cur
         return cur
 
     def mul(self, x, y):

@@ -9,7 +9,7 @@ and for the PBW algebras alike.
 
 from __future__ import annotations
 
-from .linalg import Mat, SpanBuilder, kernel_basis
+from .linalg import Mat, SpanBuilder, _sparse, kernel_basis
 
 __all__ = ["TableAlgebra", "trace_form"]
 
@@ -68,14 +68,12 @@ class TableAlgebra:
         return v
 
     def mul_vec(self, x, y):
-        z = self.field.zero
-        out = [z] * self.dim
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
+        """Product of two coordinate vectors (dense lists or sparse rows),
+        as a dense list."""
+        out = [self.field.zero] * self.dim
+        ys = _sparse(y).items()
+        for i, xi in _sparse(x).items():
+            for j, yj in ys:
                 c = xi * yj
                 for k, pk in self.basis_product(i, j).items():
                     out[k] = out[k] + c * pk
@@ -103,7 +101,6 @@ class TableAlgebra:
     def ideal_span(self, generators):
         """Two-sided ideal generated by the given coordinate vectors."""
         sb = SpanBuilder(self.field, self.dim)
-        z = self.field.zero
         frontier = [list(g) for g in generators]
         for g in frontier:
             sb.insert(g)
@@ -111,8 +108,7 @@ class TableAlgebra:
             nxt = []
             for g in frontier:
                 for j in range(self.dim):
-                    e = [z] * self.dim
-                    e[j] = self.field.one
+                    e = {j: self.field.one}
                     for prod in (self.mul_vec(e, g), self.mul_vec(g, e)):
                         if sb.insert(prod):
                             nxt.append(prod)
@@ -128,33 +124,21 @@ class TableAlgebra:
 
     def nilpotency_index(self, sub):
         """Least m with sub^m = 0 for a subalgebra-closed span (None if not nilpotent)."""
-        rows = [list(r) for r in sub.rows]
+        rows = sub.rows
         m = 1
         while rows:
             if m > self.dim + 1:
                 return None
-            nxt = self.subspace_product_span(rows, [list(r) for r in sub.rows])
-            rows = [list(r) for r in nxt.rows]
+            rows = self.subspace_product_span(rows, sub.rows).rows
             m += 1
         return m
 
     def quotient_by_ideal(self, ideal):
         """Quotient algebra on the complement coordinates of the ideal."""
         comp = ideal.complement_indices()
-        pos = {j: k for k, j in enumerate(comp)}
-        field = self.field
-        z = field.zero
 
         def product(i, j):
-            ei = [z] * self.dim
-            ei[comp[i]] = field.one
-            ej = [z] * self.dim
-            ej[comp[j]] = field.one
-            red = ideal.reduce(self.mul_vec(ei, ej))
-            return [red[c] for c in comp]
+            return ideal.quotient_coords(self.basis_product(comp[i], comp[j]))
 
-        unit = None
-        if self.unit is not None:
-            red = ideal.reduce(list(self.unit))
-            unit = [red[c] for c in comp]
-        return TableAlgebra(field, len(comp), product, unit=unit)
+        unit = None if self.unit is None else ideal.quotient_coords(self.unit)
+        return TableAlgebra(self.field, len(comp), product, unit=unit)

@@ -2,13 +2,15 @@
 
 A matrix is a list of sparse rows (column -> nonzero CycloNum), the one
 form of module actions, regular representations, intertwiners and
-equation systems.  There are two eliminations: the batch ``rref_rows``,
-which works on a dense copy of its rows and whose pivots are chosen by a
-coefficient-size heuristic and normalized early to keep fraction growth in
-check (the elimination hot spot tracked by the benchmark harness), and the
-incremental ``SpanBuilder`` on sparse rows.  Subspaces are kept as dense
-rows in reduced row echelon form, so they are canonical and comparable by
-equality; ``Mat.apply`` takes and returns dense vectors.
+equation systems, and of the reduced echelon basis of a ``Subspace``,
+which is canonical and so comparable by equality.  There are two
+eliminations: the batch ``rref_rows``, which works on a dense copy of its
+rows and whose pivots are chosen by a coefficient-size heuristic and
+normalized early to keep fraction growth in check (the elimination hot spot
+tracked by the benchmark harness), and the incremental ``SpanBuilder`` on
+sparse rows, which builds every ``Subspace``.  Dense rows live only in
+``rref_rows``'s working copy and in the vectors ``Mat.apply`` takes and
+returns.
 """
 
 from __future__ import annotations
@@ -62,23 +64,6 @@ def _clear_column(rows, prow, col, ncols):
                 pj = prow[j]
                 if not pj._is0:
                     row[j] = row[j] - f * pj
-
-
-def _residual(rows, pivots, ncols, vec, coords=None):
-    """What is left of vec after reducing it by the reduced echelon rows with
-    the given pivots; when coords is a list, each row's multiplier is
-    appended to it."""
-    v = list(vec)
-    for row, p in zip(rows, pivots):
-        f = v[p]
-        if coords is not None:
-            coords.append(f)
-        if not f._is0:
-            for j in range(p, ncols):
-                rj = row[j]
-                if not rj._is0:
-                    v[j] = v[j] - f * rj
-    return v
 
 
 def rref_rows(vectors, field, ncols):
@@ -180,10 +165,13 @@ class Mat:
         return not any(self.sparse_rows)
 
     def add_scaled(self, c, other):
-        """Add c * other into this matrix in place and return it; only a
-        matrix the caller has just made may be updated this way."""
+        """Add c * other into this matrix in place and return it (other's
+        entries unmultiplied when c is one); only a matrix the caller has
+        just made may be updated this way."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("incompatible shapes for sum")
+        if c.is_one():
+            c = None
         for acc, row in zip(self.sparse_rows, other.sparse_rows):
             _add_scaled(acc, c, row)
         return self
@@ -248,14 +236,10 @@ class Mat:
         return t
 
     def to_json(self):
-        z = self.field.zero.serialize()
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [
-                [r[j].serialize() if j in r else z for j in range(self.cols)]
-                for r in self.sparse_rows
-            ],
+            "entries": _serialized(self.field, self.sparse_rows, self.cols),
         }
 
     def __repr__(self):
@@ -263,20 +247,27 @@ class Mat:
 
 
 class Subspace:
-    """A subspace of field^ambient with canonical reduced echelon basis."""
+    """A subspace of field^ambient with canonical reduced echelon basis.
+
+    ``rows`` are sparse rows (column -> nonzero scalar), each with a one at
+    its pivot column and a zero at every other pivot column.
+    """
 
     __slots__ = ("field", "ambient", "rows", "pivots")
 
     def __init__(self, field, ambient, rows, pivots):
         self.field = field
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = tuple(rows)
         self.pivots = tuple(pivots)
 
     @staticmethod
     def from_vectors(field, ambient, vectors):
-        rows, pivots = rref_rows(vectors, field, ambient)
-        return Subspace(field, ambient, rows, pivots)
+        """The span of sparse rows or dense lists."""
+        sb = SpanBuilder(field, ambient)
+        for v in vectors:
+            sb.insert(v)
+        return sb.to_subspace()
 
     @staticmethod
     def zero(field, ambient):
@@ -284,9 +275,8 @@ class Subspace:
 
     @staticmethod
     def full(field, ambient):
-        z, one = field.zero, field.one
-        eye = [[one if i == j else z for j in range(ambient)] for i in range(ambient)]
-        return Subspace(field, ambient, eye, list(range(ambient)))
+        one = field.one
+        return Subspace(field, ambient, [{i: one} for i in range(ambient)], range(ambient))
 
     @property
     def dim(self):
@@ -300,43 +290,72 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows)))
+
+    def _split(self, vec):
+        """(coordinates, residual) of a sparse row or dense list: a reduced
+        echelon row is zero at the other pivots, so vec's coordinate on each
+        row is its entry at that row's pivot."""
+        v = _sparse(vec)
+        coords = [v.get(p) for p in self.pivots]
+        for c, row in zip(coords, self.rows):
+            if c is not None:
+                _add_scaled(v, -c, row)
+        return coords, v
 
     def reduce(self, vec):
-        """Residual of vec modulo the subspace (zero iff contained)."""
-        return _residual(self.rows, self.pivots, self.ambient, vec)
+        """Residual of vec modulo the subspace, as a sparse row (empty iff
+        contained)."""
+        return self._split(vec)[1]
 
     def contains(self, vec):
-        return all(c._is0 for c in self.reduce(vec))
+        return not self.reduce(vec)
 
     def coords(self, vec):
         """Coordinates of vec in the echelon basis; raises if not a member."""
-        out = []
-        v = _residual(self.rows, self.pivots, self.ambient, vec, out)
-        if any(not c._is0 for c in v):
+        coords, resid = self._split(vec)
+        if resid:
             raise ValueError("vector not contained in subspace")
-        return out
+        z = self.field.zero
+        return [z if c is None else c for c in coords]
 
     def complement_indices(self):
         piv = set(self.pivots)
         return [j for j in range(self.ambient) if j not in piv]
 
+    def quotient_coords(self, vec):
+        """Coordinates of vec modulo the subspace, on the complement indices."""
+        resid = self.reduce(vec)
+        z = self.field.zero
+        return [resid.get(j, z) for j in self.complement_indices()]
+
+    def as_mat(self):
+        """The echelon basis as the rows of a matrix (sharing the rows)."""
+        return Mat(self.field, self.dim, self.ambient, list(self.rows))
+
     def to_json(self):
         return {
             "ambient": self.ambient,
             "dim": self.dim,
-            "basis": [[c.serialize() for c in r] for r in self.rows],
+            "basis": _serialized(self.field, self.rows, self.ambient),
         }
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
 
+def _serialized(field, rows, ncols):
+    """Sparse rows as dense lists of serialized scalars."""
+    z = field.zero.serialize()
+    return [[r[j].serialize() if j in r else z for j in range(ncols)] for r in rows]
+
+
 def _add_scaled(out, c, terms):
     """Add c * terms into the sparse dict out and return out (the values of
-    terms nonzero; a zero c leaves out unchanged)."""
+    terms nonzero; a zero c leaves out unchanged, a c of None stands for one
+    and adds terms unmultiplied)."""
     for key, v in terms.items():
-        prod = c * v
+        prod = v if c is None else c * v
         acc = out.get(key)
         s = prod if acc is None else acc + prod
         if s._is0:
@@ -392,14 +411,7 @@ class SpanBuilder:
             for j in [j for j in row if j in reduced]:
                 _add_scaled(row, -row[j], reduced[j])
             reduced[p] = row
-        z = self.field.zero
-        dense = []
-        for p in pivots:
-            vec = [z] * self.ambient
-            for j, c in reduced[p].items():
-                vec[j] = c
-            dense.append(vec)
-        return Subspace(self.field, self.ambient, dense, pivots)
+        return Subspace(self.field, self.ambient, [reduced[p] for p in pivots], pivots)
 
 
 def kernel_basis(m):
@@ -478,21 +490,15 @@ def kronecker(a, b):
 
 def restrict_operator(t, w):
     """Matrix of t on the basis of the invariant subspace w (raises otherwise)."""
-    cols = [w.coords(t.apply(list(row))) for row in w.rows]
+    cols = [w.coords(img) for img in (w.as_mat() * t.transpose()).sparse_rows]
     return Mat.from_rows(t.field, cols).transpose()
 
 
 def quotient_operator(t, w):
     """Induced operator on field^ambient / w, on the complement coordinates."""
     restrict_operator(t, w)  # raises unless w is invariant, so the quotient action is well defined
-    comp = w.complement_indices()
-    z = t.field.zero
-    cols = []
-    for j in comp:
-        e = [z] * w.ambient
-        e[j] = t.field.one
-        resid = w.reduce(t.apply(e))
-        cols.append([resid[i] for i in comp])
+    tt = t.transpose().sparse_rows
+    cols = [w.quotient_coords(tt[j]) for j in w.complement_indices()]
     return Mat.from_rows(t.field, cols).transpose()
 
 

@@ -176,17 +176,17 @@ def module_from_vectors(H, vectors, label=None):
     """
     span = SpanBuilder(H.field, H.dim)
     for v in vectors:
-        if not span.insert(v.as_vector()):
+        if not span.insert(v.as_row()):
             raise ModuleError("generating vectors are dependent")
     sub = span.to_subspace()
     weights = [_left_weight(H, v) for v in vectors]
     # coordinates of g*v_k in the chosen basis, through the echelon coordinates
-    cob = Mat.from_rows(H.field, [sub.coords(v.as_vector()) for v in vectors]).transpose()
+    cob = Mat.from_rows(H.field, [sub.coords(v.as_row()) for v in vectors]).transpose()
     cobinv = invert(cob)
     acts = {}
     for name in H.letters:
         g = H.gen(name)
-        cols = [cobinv.apply(sub.coords((g * v).as_vector())) for v in vectors]
+        cols = [cobinv.apply(sub.coords((g * v).as_row())) for v in vectors]
         acts[name] = Mat.from_rows(H.field, cols).transpose()
     return Module(H, acts, label=label, weights=weights)
 
@@ -289,16 +289,8 @@ def weight_decomposition(M):
             kc = kernel_basis(cr - Mat.identity(f, kb.dim).scale(f.q_pow(j)))
             if kc.dim == 0:
                 continue
-            vecs = []
-            for row in kc.rows:
-                v = [f.zero] * M.dim
-                for coeff, brow in zip(row, kb.rows):
-                    if not coeff.is_zero():
-                        for t, bv in enumerate(brow):
-                            if not bv.is_zero():
-                                v[t] = v[t] + coeff * bv
-                vecs.append(v)
-            sub = Subspace.from_vectors(f, M.dim, vecs)
+            # kc is in the coordinates of kb's echelon basis
+            sub = Subspace.from_vectors(f, M.dim, (kc.as_mat() * kb.as_mat()).sparse_rows)
             out[(i, j)] = sub
             total += sub.dim
     if total != M.dim:
@@ -321,10 +313,9 @@ def weightized(M):
     cols = []
     weights = []
     for w in sorted(wd):
-        for row in wd[w].rows:
-            cols.append(list(row))
-            weights.append(w)
-    p = Mat.from_rows(f, cols).transpose()
+        cols.extend(wd[w].rows)
+        weights.extend([w] * wd[w].dim)
+    p = Mat(f, len(cols), M.dim, cols).transpose()
     pinv = invert(p)
     acts = {name: pinv * M.acts[name] * p for name in M.acts}
     out = Module(H, acts, label=M.label, weights=weights, check=False)
@@ -412,8 +403,8 @@ def hom_dim(M, N):
             for w, rowsN, colsM, off in blocks:
                 for pi, p in enumerate(rowsN):
                     for qi, q in enumerate(colsM):
-                        c = kv[off + pi * len(colsM) + qi]
-                        if not c._is0:
+                        c = kv.get(off + pi * len(colsM) + qi)
+                        if c is not None:
                             rows[p][q] = c
             out = Mat(f, Nw.dim, Mw.dim, rows)
             if trN is not None:
@@ -447,15 +438,13 @@ def radical_submodule(M, sub=None):
     action of G, kept on M, spans it.  This needs H·X = X.
     """
     H = M.algebra
-    sb = SpanBuilder(H.field, M.dim)
-    base_rows = (sub if sub is not None else Subspace.full(H.field, M.dim)).rows
     mats = M._radical_mats
     if mats is None:
         mats = M._radical_mats = [M.act_elt(g) for g in radical_ideal_generators(H)]
-    for mat in mats:
-        for row in base_rows:
-            sb.insert(mat.apply(list(row)))
-    return sb.to_subspace()
+    # the rows of g^T, and of X g^T, are the images under g of the unit
+    # vectors, and of the echelon basis of X
+    images = [mat.transpose() if sub is None else sub.as_mat() * mat.transpose() for mat in mats]
+    return Subspace.from_vectors(H.field, M.dim, [r for t in images for r in t.sparse_rows])
 
 
 def radical_filtration(M, labels_and_simples):
@@ -806,12 +795,8 @@ def _split_summands(E, simples):
     end_basis = hom_dim(E, E).intertwiners()
     cols = []
     for eta in end_basis:
-        qcols = []
-        for c in comp:
-            e = [f.zero] * E.dim
-            e[c] = f.one
-            resid = je.reduce(eta.apply(e))
-            qcols.append([resid[r] for r in comp])
+        etat = eta.transpose().sparse_rows
+        qcols = [je.quotient_coords(etat[c]) for c in comp]
         cols.append(
             [qcols[cc][rr] for rr in range(len(comp)) for cc in range(len(comp))]
         )

@@ -45,7 +45,9 @@ def jacobson_radical(H):
     if H._radical is not None:
         return H._radical
     classes = _grade_classes(H)
-    form = trace_form(H.field, H.basis, H.mono_mul)
+    # each Gram entry and each Tr(L_w) sweep needs its products once, so
+    # they bypass the pair memo
+    form = trace_form(H.field, H.basis, H._mono_product)
     n = H.n
     field = H.field
     vectors = []
@@ -56,7 +58,7 @@ def jacobson_radical(H):
         # so the shape holds with no partners)
         cols = [[form(u, v) for v in partners] for u in monos]
         for kv in kernel_basis(Mat.from_rows(field, cols).transpose()).rows:
-            vectors.append({H.index[m]: c for c, m in zip(kv, monos) if not c._is0})
+            vectors.append({H.index[monos[k]]: c for k, c in kv.items()})
     H._radical = Subspace.from_vectors(field, H.dim, vectors)
     return H._radical
 
@@ -64,19 +66,12 @@ def jacobson_radical(H):
 def monomial_ideal_span(H, predicate):
     """Canonical subspace spanned by the PBW monomials satisfying a predicate.
 
-    The unit vectors of the chosen monomials, in basis order, are already in
+    The unit rows of the chosen monomials, in basis order, are already in
     reduced echelon form, with pivots at their own indices.
     """
-    z, one = H.field.zero, H.field.one
-    vecs = []
-    pivots = []
-    for idx, m in enumerate(H.basis):
-        if predicate(m):
-            v = [z] * H.dim
-            v[idx] = one
-            vecs.append(v)
-            pivots.append(idx)
-    return Subspace(H.field, H.dim, vecs, pivots)
+    one = H.field.one
+    pivots = [idx for idx, m in enumerate(H.basis) if predicate(m)]
+    return Subspace(H.field, H.dim, [{idx: one} for idx in pivots], pivots)
 
 
 def _right_ideal_generators(elts, letters, dim):
@@ -128,8 +123,9 @@ def radical_ideal_generators(H):
     return H._radical_gens
 
 
-def _vector_to_elt(H, vec):
-    return AlgElt(H, {H.basis[idx]: c for idx, c in enumerate(vec) if not c._is0})
+def _vector_to_elt(H, row):
+    """The element with the given sparse row (basis index -> nonzero scalar)."""
+    return AlgElt(H, {H.basis[idx]: c for idx, c in row.items()})
 
 
 def loewy_length(H):
@@ -199,17 +195,12 @@ def radical_report(H):
         )
     else:
         comp = J.complement_indices()
-        field = H.field
 
         def product(i, j):
             prod = H.mono_mul(H.basis[comp[i]], H.basis[comp[j]])
-            vec = [field.zero] * H.dim
-            for m, c in prod.items():
-                vec[H.index[m]] = c
-            red = J.reduce(vec)
-            return [red[c2] for c2 in comp]
+            return J.quotient_coords({H.index[m]: c for m, c in prod.items()})
 
-        quo = TableAlgebra(field, len(comp), product)
+        quo = TableAlgebra(H.field, len(comp), product)
         report["quotient_semisimple"] = quo.radical().dim == 0
     return report
 
@@ -267,19 +258,18 @@ def _solve_in_span(H, candidates, constraints):
     Returns the solution space as a canonical Subspace of the ambient.
     """
     field = H.field
-    images = []  # stacked constraint images, one column per candidate
+    images = []  # stacked constraint images, one row per candidate
     for v in candidates:
-        col = []
-        for con in constraints:
-            col.extend(con(v).as_vector())
-        images.append(col)
-    ker = kernel_basis(Mat.from_rows(field, images).transpose())
+        row = {}
+        for k, con in enumerate(constraints):
+            row.update((k * H.dim + j, c) for j, c in con(v).as_row().items())
+        images.append(row)
+    ker = kernel_basis(Mat(field, len(images), len(constraints) * H.dim, images).transpose())
     vecs = []
     for kv in ker.rows:
         acc = H.zero_elt
-        for coeff, v in zip(kv, candidates):
-            if not coeff.is_zero():
-                acc = acc + v.scale(coeff)
+        for k, coeff in kv.items():
+            acc = acc + candidates[k].scale(coeff)
         vecs.append(acc.as_row())
     return Subspace.from_vectors(field, H.dim, vecs)
 
@@ -333,9 +323,9 @@ def center_table_algebra(H, Z):
     field = H.field
 
     def product(i, j):
-        return Z.coords((elts[i] * elts[j]).as_vector())
+        return Z.coords((elts[i] * elts[j]).as_row())
 
-    unit = Z.coords(H.one.as_vector())
+    unit = Z.coords(H.one.as_row())
     return TableAlgebra(field, Z.dim, product, unit=unit), elts
 
 
@@ -371,7 +361,7 @@ def center_and_blocks(H):
             == _sum_elts(H, [grp[((i + j) % n, j)] for j in range(n)])
             for i in range(n)
         )
-        ok_central = all(Z.contains(e.as_vector()) for e in es)
+        ok_central = all(Z.contains(e.as_row()) for e in es)
         ok_idem = all(e * e == e for e in es)
         ok_orth = all(
             (es[i] * es[j]).is_zero() for i in range(n) for j in range(n) if i != j
@@ -379,9 +369,9 @@ def center_and_blocks(H):
         ok_complete = _sum_elts(H, es) == H.one
         prim = []
         for e in es:
-            ecoords = Z.coords(e.as_vector())
+            ecoords = Z.coords(e.as_row())
             ideal = zalg.ideal_span([ecoords])
-            sub_elems = [list(r) for r in ideal.rows]
+            sub_elems = ideal.rows
 
             def product(i2, j2):
                 return ideal.coords(zalg.mul_vec(sub_elems[i2], sub_elems[j2]))
@@ -407,10 +397,12 @@ def _sum_elts(H, elts):
 
 
 def blocks_isomorphic_H0(H):
-    """All n blocks of the p = 0 deformation share one structure-constant table."""
+    """All n blocks of the p = 0 deformation share one structure-constant table,
+    each on the labeled basis a^j d^k b^l e_i of its block H e_i."""
     if not (H.spec.family == "hpq" and H.p.is_zero()):
         raise ValueError("block comparison applies to the p = 0 deformation")
     n = H.n
+    gens = [H.gen(name) for name in H.letters]
     tables = []
     dims = []
     unit_ok = True
@@ -422,28 +414,30 @@ def blocks_isomorphic_H0(H):
                 for l in range(n):
                     x = H.monomial((j, 0, 0, k)) * H.monomial((0, l, 0, 0)) * ei
                     basis_elts.append(((j, k, l), x))
-                    sb.insert(x.as_vector())
+                    sb.insert(x.as_row())
         span = sb.to_subspace()
         dims.append(span.dim)
+        # the span holds ei, so it is the block H ei exactly when the
+        # generators keep it
+        reason = None
         if span.dim != n ** 3:
-            return {
-                "status": "fail",
-                "reason": "block basis not independent",
-                "block": i,
-                "dim": span.dim,
-            }
+            reason = "block basis not independent"
+        elif not all(span.contains((g * x).as_row()) for g in gens for _, x in basis_elts):
+            reason = "block basis does not span a left ideal"
+        if reason is not None:
+            return {"status": "fail", "reason": reason, "block": i, "dim": span.dim}
         for _, x in basis_elts:
             if ei * x != x or x * ei != x:
                 unit_ok = False
         # change of basis from the canonical echelon rows to the labeled basis
-        cols = [span.coords(x.as_vector()) for (_, x) in basis_elts]
+        cols = [span.coords(x.as_row()) for (_, x) in basis_elts]
         cob = Mat.from_rows(H.field, cols).transpose()
         labels = [lab for lab, _ in basis_elts]
         sol = _invert(cob)
         table = {}
         for idx1, (lab1, x1) in enumerate(basis_elts):
             for lab2, x2 in basis_elts:
-                ecoords = span.coords((x1 * x2).as_vector())
+                ecoords = span.coords((x1 * x2).as_row())
                 lcoords = sol.apply(ecoords)
                 table[(lab1, lab2)] = tuple(
                     (labels[r], c.serialize()) for r, c in enumerate(lcoords) if not c.is_zero()

@@ -426,13 +426,15 @@ def test_flagged_memo_coefficients_are_table_roots():
     module_catalog(H1)
     for A in (H, H1):
         F = A.field
-        coeffs = [c for terms in A._pair_memo.values() for c in terms.values()]
-        flagged = [c for c in coeffs if c._root is not None]
-        for c in flagged:
-            assert c is F._roots[c._root]
-            assert c == _signed_power(F, c._root)
-        if A is H:
-            # every structure constant of the basic family is a power of q
-            assert len(flagged) == len(coeffs) > 625
-        else:
-            assert 0 < len(flagged) < len(coeffs)
+        # the basis-pair products and the letter powers they are built from
+        for memo in (A._pair_memo, A._pow_memo):
+            coeffs = [c for terms in memo.values() for c in terms.values()]
+            flagged = [c for c in coeffs if c._root is not None]
+            for c in flagged:
+                assert c is F._roots[c._root]
+                assert c == _signed_power(F, c._root)
+            if A is H:
+                # every structure constant of the basic family is a power of q
+                assert len(flagged) == len(coeffs) > 625
+            else:
+                assert 0 < len(flagged) < len(coeffs)

@@ -17,10 +17,16 @@ from hopfring.linalg import (
     quotient_operator,
     rank,
     restrict_operator,
+    rref_rows,
     solve,
 )
 
 F3 = cyclo_field(3)
+
+
+def dense_row(F, row, n):
+    """A sparse row (column -> scalar) as a dense list of length n."""
+    return [row.get(j, F.zero) for j in range(n)]
 
 
 def rand_mat(field, rows, cols, rng):
@@ -40,7 +46,7 @@ def test_kernel_of_singular_cyclotomic_matrix():
     m = Mat.from_rows(F3, [[F3.one, q], [q * q, F3.one]])
     ker = kernel_basis(m)
     assert ker.dim == 1
-    v = list(ker.rows[0])
+    v = dense_row(F3, ker.rows[0], m.cols)
     assert all(c.is_zero() for c in m.apply(v))
 
 
@@ -58,7 +64,7 @@ def test_kernel_vectors_annihilate():
     for _ in range(20):
         m = rand_mat(F3, 3, 5, rng)
         for row in kernel_basis(m).rows:
-            assert all(x.is_zero() for x in m.apply(list(row)))
+            assert all(x.is_zero() for x in m.apply(dense_row(F3, row, 5)))
 
 
 def test_kronecker_identities():
@@ -148,12 +154,12 @@ def test_restriction_and_quotient_commute_with_inclusion():
     )
     r = restrict_operator(t, w)
     for row in w.rows:
-        img = t.apply(list(row))
+        img = t.apply(dense_row(F3, row, 3))
         coords = w.coords(img)
         back = [F3.zero] * 3
         for c, brow in zip(coords, w.rows):
             for j in range(3):
-                back[j] = back[j] + c * brow[j]
+                back[j] = back[j] + c * brow.get(j, F3.zero)
         assert back == img
     assert r.rows == 2
     qop = quotient_operator(t, w)
@@ -241,7 +247,7 @@ def test_rank_nullity_property(fm):
     ker = kernel_basis(m)
     assert rank(m) + ker.dim == m.cols
     for row in ker.rows:
-        assert all(x.is_zero() for x in m.apply(list(row)))
+        assert all(x.is_zero() for x in m.apply(dense_row(F, row, m.cols)))
 
 
 @PROPS
@@ -284,11 +290,12 @@ def test_coords_rebuild_and_reduce_detects_membership(fm, data):
     coeffs = data.draw(st.lists(elts, min_size=m.rows, max_size=m.rows))
     inside = _combine(F, coeffs, dense(m), m.cols)
     coords = span.coords(inside)
-    assert _combine(F, coords, span.rows, m.cols) == inside
-    assert all(c.is_zero() for c in span.reduce(inside))
+    rows = [dense_row(F, r, m.cols) for r in span.rows]
+    assert _combine(F, coords, rows, m.cols) == inside
+    assert span.reduce(inside) == {}
     other = data.draw(st.lists(elts, min_size=m.cols, max_size=m.cols))
     contained = rank(Mat.from_rows(F, dense(m) + [other])) == span.dim
-    assert all(c.is_zero() for c in span.reduce(other)) == contained
+    assert (span.reduce(other) == {}) == contained
     assert span.contains(other) == contained
     if not contained:
         with pytest.raises(ValueError):
@@ -456,7 +463,7 @@ def _span_builder_properties(F, steps):
         made.append(vec)
         row = [vec.get(k, F.zero) for k in range(AMBIENT)]
         prefix.append(row)
-        rank_after = Subspace.from_vectors(F, AMBIENT, prefix).dim
+        rank_after = rank(Mat.from_rows(F, prefix))
         grows = rank_after > rank_before
         rank_before = rank_after
         vec_before, row_before = dict(vec), list(row)
@@ -486,3 +493,54 @@ def test_span_builder_grows_with_rank_n3(steps):
 @given(_span_steps(_F5))
 def test_span_builder_grows_with_rank_n5(steps):
     _span_builder_properties(_F5, steps)
+
+
+# -- the sparse echelon rows of Subspace against dense references ---------------
+
+
+def _dense_split(rows, pivots, vec):
+    """Coordinates and residual of vec against dense reduced echelon rows:
+    each row in turn is subtracted, scaled by vec's entry at its pivot."""
+    v = list(vec)
+    coords = []
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        coords.append(f)
+        v = [x - f * y for x, y in zip(v, row)]
+    return coords, v
+
+
+@PROPS
+@given(fields_and_matrices(), st.data())
+def test_subspace_rows_are_the_sparse_rref(fm, data):
+    F, m = fm
+    vecs = dense(m)
+    ref_rows, ref_pivots = rref_rows(vecs, F, m.cols)
+    # sparse and dense inputs mixed, built through SpanBuilder
+    half = data.draw(st.integers(0, m.rows))
+    span = Subspace.from_vectors(F, m.cols, m.sparse_rows[:half] + vecs[half:])
+    assert span.pivots == tuple(ref_pivots)
+    assert [dense_row(F, r, m.cols) for r in span.rows] == ref_rows
+    for row in span.rows:
+        assert all(0 <= j < m.cols and not c.is_zero() for j, c in row.items())
+    same = Subspace.from_vectors(F, m.cols, vecs[::-1])
+    assert same == span and hash(same) == hash(span)
+    assert span.to_json()["basis"] == [[c.serialize() for c in r] for r in ref_rows]
+    elts = _elements(F)
+    coeffs = data.draw(st.lists(elts, min_size=m.rows, max_size=m.rows))
+    other = data.draw(st.lists(elts, min_size=m.cols, max_size=m.cols))
+    for vec in (_combine(F, coeffs, vecs, m.cols), other):
+        coords, resid = _dense_split(ref_rows, ref_pivots, vec)
+        got = span.reduce(vec)
+        assert dense_row(F, got, m.cols) == resid
+        assert all(not c.is_zero() for c in got.values())
+        assert span.reduce({j: c for j, c in enumerate(vec) if not c.is_zero()}) == got
+        comp = [j for j in range(m.cols) if j not in ref_pivots]
+        assert span.quotient_coords(vec) == [resid[j] for j in comp]
+        inside = all(c.is_zero() for c in resid)
+        assert span.contains(vec) == inside
+        if inside:
+            assert span.coords(vec) == coords
+        else:
+            with pytest.raises(ValueError):
+                span.coords(vec)

@@ -49,7 +49,7 @@ CLOSED_FORM_CONTROLS = {
     "lemma5.1": ("hpq1", "V(2,0)", "V(2,0)", "V(1,1)", "V(2,0) x V(2,0)"),
 }
 
-OTHER_CONTROLS = {"cor3.4", "cor4.4", "cor3.5", "blocks"}
+OTHER_CONTROLS = {"cor3.4", "cor4.4", "cor3.5", "blocks", "prop4.1", "prop4.6"}
 
 # controls kept in test_cli.py, next to the target's other CLI tests
 ELSEWHERE = {
@@ -57,7 +57,7 @@ ELSEWHERE = {
     "tensor-iso": "test_verify_tensor_iso_fails_on_corrupt_taft_product",
 }
 
-UNCOVERED = {"prop4.1", "prop4.6"}
+UNCOVERED = set()
 
 
 def run(capsys, argv):
@@ -233,6 +233,40 @@ def test_blocks_gate_the_central_idempotent_census(argv, capsys, monkeypatch):
     assert not census["idempotent"] and not census["complete"]
     assert not census["matches_group_idempotent_sums"]
     assert census["central"] and census["orthogonal"]
+
+
+def test_integrals_target_gates_unimodularity(capsys, monkeypatch):
+    # left integrals sought where c acts by q, not by its counit value 1,
+    # are no longer the right integrals of the p = 0 deformation
+    real = structure.left_grouplike_eigenvectors
+    monkeypatch.setattr(
+        structure, "left_grouplike_eigenvectors", lambda H, s, t: real(H, s, t + 1)
+    )
+    code, doc = run(capsys, ["verify", "prop4.1", "--n", "3"])
+    assert code == 1
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    assert {"unimodular", "symmetric_certified"} <= _failed_checks(rep["deformed_p0"])
+    assert rep["deformed_p0"]["s2_inner_by_b"] is True
+
+
+def test_block_target_gates_the_block_span(capsys, monkeypatch):
+    # e_0 + e_1 is a central idempotent, and its labeled elements are
+    # independent and multiply by the shared table, but they span only
+    # half of the two-block ideal H(e_0 + e_1): c moves them out of it
+    real = structure._central_idempotents_H0
+
+    def merged(H):
+        es = real(H)
+        return [es[0] + es[1]] + es[1:]
+
+    monkeypatch.setattr(structure, "_central_idempotents_H0", merged)
+    code, doc = run(capsys, ["verify", "prop4.6", "--n", "3"])
+    assert code == 1
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    assert rep["reason"] == "block basis does not span a left ideal"
+    assert rep["block"] == 0 and rep["dim"] == 27
 
 
 def test_every_target_has_a_control_or_is_listed_uncovered():

@@ -165,7 +165,7 @@ def test_weight_spaces_shift_under_a():
     for (i, j), sub in wd.items():
         tgt = wd[((i + sh[0]) % 3, (j + sh[1]) % 3)]
         for row in sub.rows:
-            assert tgt.contains(A.apply(list(row)))
+            assert tgt.contains(A.apply([row.get(k, H.field.zero) for k in range(H.dim)]))
 
 
 def test_hom_of_pim_with_itself():

@@ -37,11 +37,8 @@ def test_radical_h0():
     assert J == monomial_ideal_span(H, lambda m: m[0] + m[3] >= 1)
 
 
-@pytest.mark.parametrize("family,p", [("tensor_taft", None), ("hpq", 0), ("hpq", 1)])
-def test_graded_radical_equals_ungraded_trace_form_radical(family, p):
-    # the blocks of jacobson_radical pair grade g only with grade -g; the
-    # Gram of the trace form over all pairs of PBW monomials has the same kernel
-    H = get(family, 3, p)
+def _ungraded_radical(H):
+    """The kernel of the trace form's Gram over all pairs of PBW monomials."""
 
     def product(i, j):
         vec = [H.field.zero] * H.dim
@@ -49,7 +46,26 @@ def test_graded_radical_equals_ungraded_trace_form_radical(family, p):
             vec[H.index[m]] = c
         return vec
 
-    assert TableAlgebra(H.field, H.dim, product).radical() == jacobson_radical(H)
+    return TableAlgebra(H.field, H.dim, product).radical()
+
+
+@pytest.mark.parametrize("family,p", [("tensor_taft", None), ("hpq", 0), ("hpq", 1)])
+def test_graded_radical_equals_ungraded_trace_form_radical(family, p):
+    # the blocks of jacobson_radical pair grade g only with grade -g; the
+    # Gram of the trace form over all pairs of PBW monomials has the same kernel
+    H = get(family, 3, p)
+    assert _ungraded_radical(H) == jacobson_radical(H)
+
+
+@pytest.mark.parametrize("family,n,p", [("tensor_taft", 4, None), ("hpq", 3, 1)])
+def test_radical_products_bypass_the_pair_memo(family, n, p):
+    # the trace form's products are each needed once, so the radical leaves
+    # the basis-pair memo as it found it
+    H = Algebra(AlgebraSpec(family, n, p))
+    before = dict(H._pair_memo)
+    J = jacobson_radical(H)
+    assert H._pair_memo == before
+    assert J == _ungraded_radical(H)
 
 
 def test_radical_h1_dimension():
