@@ -9,11 +9,13 @@ modulo Phi_n stays integral and each operation needs at most one gcd.
 The representation is canonical: equality is coefficient equality.  No
 floating point is used anywhere.
 
+Each field writes its product once as straight-line integer code from its
+reduction table, and proves it on every basis pair z^i * z^j when built.
 The 2n roots of unity +-q^k come from one table per field, and each table
 element carries its index (``_root``).  A product with a table root is
-index arithmetic (root times root) or one integer column map with no gcd
-(root times anything else).  Only the field's own constructors hand out
-table elements; a value that merely equals a root takes the general path.
+index arithmetic (root times root) or that code with no gcd (root times
+anything else).  Only the field's own constructors hand out table
+elements; a value that merely equals a root takes the general path.
 """
 
 from __future__ import annotations
@@ -100,16 +102,30 @@ def _combine(x, y, op):
     return _reduced(x.field, nums, s * db)
 
 
-def _times_root(x, cols):
-    """x times the table root with sparse integer columns cols.  A root is a
-    unit of Z[zeta] whose map on the power basis is an integer matrix with
-    integer inverse, so it keeps gcd(nums): den and canonical form stay."""
-    out = [0] * len(cols)
-    for c, col in zip(x.nums, cols):
-        if c:
-            for j, v in col:
-                out[j] += c * v
-    return CycloNum(x.field, tuple(out), x.den)
+def _product_kernel(red):
+    """The product of coordinate tuples as generated straight-line integer
+    code: the convolution a_j*b_k, with each power phi+k above the basis
+    folded back through its reduction red[k] (entries +-1 as plain +/-)."""
+    phi = len(red[0])
+
+    def conv(e):
+        return ["a%d*b%d" % (j, e - j) for j in range(max(0, e - phi + 1), min(e, phi - 1) + 1)]
+
+    names = ", ".join("a%d" % i for i in range(phi))
+    lines = ["def product(a, b):", "    %s, = a" % names, "    %s, = b" % names.replace("a", "b")]
+    lines += ["    h%d = %s" % (k, " + ".join(conv(phi + k))) for k in range(phi - 1)]
+    outs = []
+    for i in range(phi):
+        terms = " + ".join(conv(i))
+        for k, row in enumerate(red):
+            v = row[i]
+            if v:
+                terms += " %s %sh%d" % ("+-"[v < 0], "%d*" % abs(v) if abs(v) != 1 else "", k)
+        outs.append(terms)
+    lines.append("    return (%s,)" % ", ".join(outs))
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["product"]
 
 
 class CycloField:
@@ -135,6 +151,8 @@ class CycloField:
             cur = nxt
             red.append(tuple(cur))
         self._red = red
+        self._kernel = _product_kernel(red)
+        self._check_kernel()
         self.zero = self.from_int(0)
         self._build_roots()
         self.one = self._roots[0]
@@ -148,50 +166,45 @@ class CycloField:
         ]
         self._check_roots()
 
+    def _check_kernel(self):
+        """Check the product code on every basis pair z^i * z^j against the
+        remainder of x^(i+j) mod Phi_n, which does not read the reduction
+        table.  The code is bilinear, so this covers every product.  Raises
+        ArithmeticError on the first mismatch."""
+        phi = self.phi
+        z = [tuple(int(j == i) for j in range(phi)) for i in range(phi)]
+        for i in range(phi):
+            for j in range(phi):
+                rem = tuple(_poly_divmod([R0] * (i + j) + [R1], self.modulus)[1])
+                if self._kernel(z[i], z[j]) != rem + (0,) * (phi - len(rem)):
+                    raise ArithmeticError("product code is wrong on z^%d * z^%d" % (i, j))
+
     def _build_roots(self):
         """The root table: index r < n is q^r and r >= n is -q^(r-n), with
-        each root's sparse integer columns root * z^i and its products with
-        every root (the product with root n = -1 is its negation).  The
-        powers come from the general multiply (nothing is flagged yet); the
-        rest is index arithmetic."""
-        n, phi = self.n, self.phi
-        z = CycloNum(self, (0, 1) + (0,) * (phi - 2), 1)
+        each root's products with every root (the product with root n = -1
+        is its negation).  The powers come from the general multiply
+        (nothing is flagged yet); the products are index arithmetic."""
+        n = self.n
+        z = CycloNum(self, (0, 1) + (0,) * (self.phi - 2), 1)
         pows = [self.from_int(1)]
         for _ in range(n - 1):
             pows.append(pows[-1] * z)
-        signed = [x.nums for x in pows] + [(-x).nums for x in pows]
         roots = []
-        for r, nums in enumerate(signed):
+        for r, nums in enumerate([x.nums for x in pows] + [(-x).nums for x in pows]):
             x = CycloNum(self, nums, 1)
             x._root = r
             roots.append(x)
         self._roots = roots
-        self._root_cols = [
-            [
-                tuple((j, v) for j, v in enumerate(signed[r // n * n + (r + i) % n]) if v)
-                for i in range(phi)
-            ]
-            for r in range(2 * n)
-        ]
         self._root_prod = [
             [roots[(r // n ^ s // n) * n + (r + s) % n] for s in range(2 * n)]
             for r in range(2 * n)
         ]
 
     def _check_roots(self):
-        """Check the root table against the general multiply: each column
-        root * z^i and each product of two roots.  Raises ArithmeticError on
-        the first mismatch."""
-        phi = self.phi
+        """Check each product of two table roots against the product code.
+        Raises ArithmeticError on the first mismatch."""
         plain = [CycloNum(self, x.nums, 1) for x in self._roots]
-        z = [CycloNum(self, tuple(int(j == i) for j in range(phi)), 1) for i in range(phi)]
         for r, x in enumerate(plain):
-            for i, zi in enumerate(z):
-                col = [0] * phi
-                for j, v in self._root_cols[r][i]:
-                    col[j] += v
-                if tuple(col) != (x * zi).nums:
-                    raise ArithmeticError("root table column %d of root %d is wrong" % (i, r))
             for s, y in enumerate(plain):
                 if self._root_prod[r][s] != x * y:
                     raise ArithmeticError("root table product %d * %d is wrong" % (r, s))
@@ -347,31 +360,18 @@ class CycloNum:
             return _reduced(self.field, tuple([c * other for c in self.nums]), self.den)
         if other._is0:
             return other
+        field = self.field
         r = self._root
-        if r is not None:
-            s = other._root
-            if s is not None:
-                return self.field._root_prod[r][s]
-            return _times_root(other, self.field._root_cols[r])
-        if other._root is not None:
-            return _times_root(self, self.field._root_cols[other._root])
-        a, b = self.nums, other.nums
-        phi = len(a)
-        prod = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    if bj:
-                        prod[j] += ai * bj
-        out = prod[:phi]
-        red = self.field._red
-        for k in range(phi, 2 * phi - 1):
-            pk = prod[k]
-            if pk:
-                for i, ri in enumerate(red[k - phi]):
-                    if ri:
-                        out[i] += pk * ri
-        return _reduced(self.field, tuple(out), self.den * other.den)
+        if r is None:
+            if other._root is None:
+                return _reduced(field, field._kernel(self.nums, other.nums), self.den * other.den)
+            # a root is a unit of Z[zeta]: its integer matrix on the power
+            # basis has an integer inverse, so gcd(nums) and den both stay
+            return CycloNum(field, field._kernel(self.nums, other.nums), self.den)
+        s = other._root
+        if s is None:
+            return CycloNum(field, field._kernel(self.nums, other.nums), other.den)
+        return field._root_prod[r][s]
 
     __rmul__ = __mul__
 

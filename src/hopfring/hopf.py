@@ -59,7 +59,7 @@ class HopfMaps:
         self._delta_gen = gen
         self._delta_memo = {unit: {(unit, unit): one}}
         self._spow_memo = {}
-        self._antipode_memo = {}
+        self._antipode_memo = {unit: H.one}
         s_gen = {}
         n = H.n
         if H.num_letters == 2:
@@ -82,14 +82,17 @@ class HopfMaps:
         return _pair_mul(self.H, self.H, x, y)
 
     def delta_mono(self, mono):
+        """Delta(u) = Delta(prefix) Delta(x_t^e) for the last letter power
+        x_t^e of u: the left-associated product over u's letter powers, one
+        H tensor H product per new monomial."""
         cached = self._delta_memo.get(mono)
         if cached is not None:
             return cached
-        out = {(self._unit, self._unit): self.H.field.one}
-        for t in range(self.H.num_letters):
-            e = mono[t]
-            if e:
-                out = self.tensor_mul(out, self._delta_gen_pow(t, e))
+        t = max(i for i, e in enumerate(mono) if e)
+        prefix = mono[:t] + (0,) * (len(mono) - t)
+        out = self._delta_gen_pow(t, mono[t])
+        if prefix != self._unit:
+            out = self.tensor_mul(self.delta_mono(prefix), out)
         self._delta_memo[mono] = out
         return out
 
@@ -122,11 +125,10 @@ class HopfMaps:
         cached = self._antipode_memo.get(mono)
         if cached is not None:
             return cached
-        H = self.H
-        out = H.one
-        for t in range(H.num_letters - 1, -1, -1):
-            for _ in range(mono[t]):
-                out = out * self._s_gen[t]
+        # S(u) = S(u / x_t) S(x_t) for the first letter x_t of u
+        t = min(i for i, e in enumerate(mono) if e)
+        rest = mono[:t] + (mono[t] - 1,) + mono[t + 1 :]
+        out = self._s_gen[t] if rest == self._unit else self.antipode_mono(rest) * self._s_gen[t]
         self._antipode_memo[mono] = out
         return out
 

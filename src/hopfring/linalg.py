@@ -253,13 +253,15 @@ class Subspace:
     its pivot column and a zero at every other pivot column.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_row_at", "_complement")
 
     def __init__(self, field, ambient, rows, pivots):
         self.field = field
         self.ambient = ambient
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
+        self._row_at = {p: i for i, p in enumerate(self.pivots)}
+        self._complement = None
 
     @staticmethod
     def from_vectors(field, ambient, vectors):
@@ -293,14 +295,15 @@ class Subspace:
         return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows)))
 
     def _split(self, vec):
-        """(coordinates, residual) of a sparse row or dense list: a reduced
-        echelon row is zero at the other pivots, so vec's coordinate on each
-        row is its entry at that row's pivot."""
+        """(coordinates by row index, residual) of a sparse row or dense
+        list: a reduced echelon row is zero at the other pivots, so vec's
+        coordinate on each row is its entry at that row's pivot, and only the
+        rows at vec's own pivot columns are subtracted, in pivot order."""
         v = _sparse(vec)
-        coords = [v.get(p) for p in self.pivots]
-        for c, row in zip(coords, self.rows):
-            if c is not None:
-                _add_scaled(v, -c, row)
+        row_at = self._row_at
+        coords = {row_at[j]: c for j, c in v.items() if j in row_at}
+        for i in sorted(coords):
+            _add_scaled(v, -coords[i], self.rows[i])
         return coords, v
 
     def reduce(self, vec):
@@ -317,11 +320,13 @@ class Subspace:
         if resid:
             raise ValueError("vector not contained in subspace")
         z = self.field.zero
-        return [z if c is None else c for c in coords]
+        return [coords.get(i, z) for i in range(self.dim)]
 
     def complement_indices(self):
-        piv = set(self.pivots)
-        return [j for j in range(self.ambient) if j not in piv]
+        """The non-pivot columns in increasing order, as a tuple built once."""
+        if self._complement is None:
+            self._complement = tuple(j for j in range(self.ambient) if j not in self._row_at)
+        return self._complement
 
     def quotient_coords(self, vec):
         """Coordinates of vec modulo the subspace, on the complement indices."""

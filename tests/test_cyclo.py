@@ -384,13 +384,19 @@ def test_even_order_alias(kx):
     assert neg.serialize() == alias.serialize()
 
 
+def _wrong_red(red):
+    """The reduction table with its last row's first entry off by one."""
+    return red[:-1] + [(red[-1][0] + 1,) + red[-1][1:]]
+
+
 @pytest.mark.parametrize("n", [3, 5, 12])
 @pytest.mark.parametrize("part", ["column", "product", "negation", "value"])
 def test_root_table_check_catches_corruption(n, part):
     F = cyclo_field(n)
     F._check_roots()
     if part == "column":
-        F._root_cols[1][0] = ((0, 1),)  # q * 1 read as 1
+        # the product code behind root * z^i, generated from a wrong table
+        F._kernel = cyclo._product_kernel(_wrong_red(F._red))
     elif part == "product":
         F._root_prod[2][n - 1] = F._roots[0]  # q^2 * q^(n-1) read as 1
     elif part == "negation":
@@ -402,16 +408,46 @@ def test_root_table_check_catches_corruption(n, part):
 
 
 def test_field_construction_runs_the_root_check(monkeypatch):
+    generate = cyclo._product_kernel
+    monkeypatch.setattr(cyclo, "_product_kernel", lambda red: generate(_wrong_red(red)))
+    for n in (3, 5, 12):
+        # the wrong last row is x^(2 phi - 2) = z^(phi-1) * z^(phi-1)
+        top = cyclo.euler_phi(n) - 1
+        with pytest.raises(ArithmeticError, match=r"wrong on z\^%d \* z\^%d$" % (top, top)):
+            cyclo_field(n)
+    monkeypatch.undo()
     build = CycloField._build_roots
 
     def corrupt(self):
         build(self)
-        self._root_cols[self.n][1] = self._root_cols[0][1]  # -z read as z
+        self._root_prod[self.n][1] = self._roots[1]  # -1 * q read as q
 
     monkeypatch.setattr(CycloField, "_build_roots", corrupt)
     for n in (3, 5, 12):
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match="root table product"):
             cyclo_field(n)
+
+
+def factors(F):
+    """A plain element of F or one of its table roots."""
+    return st.one_of(elements(F), st.integers(0, 2 * F.n - 1).map(lambda r: F._roots[r]))
+
+
+@PROPS
+@given(
+    st.sampled_from(sorted(ROOT_FIELDS)).flatmap(
+        lambda n: st.tuples(factors(ROOT_FIELDS[n]), factors(ROOT_FIELDS[n]))
+    )
+)
+def test_product_code_matches_fraction_product(xy):
+    x, y = xy
+    F = x.field
+    got = x * y
+    assert got == _fraction_product(F, x, y)
+    _assert_canonical(got)
+    for root, other in ((x, y), (y, x)):
+        if root._root is not None and other._root is None and not other.is_zero():
+            assert got.den == other.den and got._root is None
 
 
 def test_flagged_memo_coefficients_are_table_roots():
