@@ -11,11 +11,11 @@ floating point is used anywhere.
 
 Each field writes its product once as straight-line integer code from its
 reduction table, and proves it on every basis pair z^i * z^j when built.
-The 2n roots of unity +-q^k come from one table per field, and each table
-element carries its index (``_root``).  A product with a table root is
-index arithmetic (root times root) or that code with no gcd (root times
-anything else).  Only the field's own constructors hand out table
-elements; a value that merely equals a root takes the general path.
+The roots of unity +-q^k come from one table per field, one object per
+value, each carrying its index (``_root``).  The rule is by value: every
+element the field hands out whose value is +-q^k is that table object.  A
+product with a table root is index arithmetic (root times root) or that
+code with no gcd (root times anything else).
 """
 
 from __future__ import annotations
@@ -78,17 +78,18 @@ def cyclotomic_polynomial(n):
 def _from_fractions(field, coeffs):
     """CycloNum with the given rational coordinates (Fractions or ints)."""
     den = lcm(*[c.denominator for c in coeffs])
-    return CycloNum(field, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+    return _reduced(field, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 def _reduced(field, nums, den):
-    """CycloNum for nums/den (den > 0), with the common factor divided out."""
+    """CycloNum for nums/den (den > 0) in lowest terms; a +-q^k is its table object."""
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
             nums = tuple([c // g for c in nums])
             den //= g
-    return CycloNum(field, nums, den)
+    root = field._root_of.get(nums) if den == 1 else None
+    return CycloNum(field, nums, den) if root is None else root
 
 
 def _combine(x, y, op):
@@ -153,6 +154,7 @@ class CycloField:
         self._red = red
         self._kernel = _product_kernel(red)
         self._check_kernel()
+        self._root_of = {}  # nums of each root value -> its table object
         self.zero = self.from_int(0)
         self._build_roots()
         self.one = self._roots[0]
@@ -183,26 +185,30 @@ class CycloField:
         """The root table: index r < n is q^r and r >= n is -q^(r-n), with
         each root's products with every root (the product with root n = -1
         is its negation).  The powers come from the general multiply
-        (nothing is flagged yet); the products are index arithmetic."""
+        (nothing is interned yet); the products are index arithmetic.  One
+        object per value: for even n, -q^r is the q^((r+n/2) mod n) object."""
         n = self.n
         z = CycloNum(self, (0, 1) + (0,) * (self.phi - 2), 1)
         pows = [self.from_int(1)]
         for _ in range(n - 1):
             pows.append(pows[-1] * z)
-        roots = []
-        for r, nums in enumerate([x.nums for x in pows] + [(-x).nums for x in pows]):
-            x = CycloNum(self, nums, 1)
-            x._root = r
-            roots.append(x)
-        self._roots = roots
+        values = [x.nums for x in pows] + [(-x).nums for x in pows]
+        for r in reversed(range(2 * n)):  # so each value's _root is its first index
+            self._root_of.setdefault(values[r], CycloNum(self, values[r], 1))._root = r
+        self._roots = roots = [self._root_of[v] for v in values]
         self._root_prod = [
             [roots[(r // n ^ s // n) * n + (r + s) % n] for s in range(2 * n)]
             for r in range(2 * n)
         ]
 
     def _check_roots(self):
-        """Check each product of two table roots against the product code.
-        Raises ArithmeticError on the first mismatch."""
+        """Check the intern map (one entry per distinct root value, keyed by
+        its object's nums) and each product of two table roots against the
+        product code.  Raises ArithmeticError on the first mismatch."""
+        objs = {id(x): x for x in self._roots}.values()  # each object once
+        interned = self._root_of
+        if len(interned) != len(objs) or any(interned.get(x.nums) is not x for x in objs):
+            raise ArithmeticError("root intern map is wrong")
         plain = [CycloNum(self, x.nums, 1) for x in self._roots]
         for r, x in enumerate(plain):
             for s, y in enumerate(plain):
@@ -219,11 +225,11 @@ class CycloField:
         return hash(("CycloField", self.n))
 
     def from_int(self, k):
-        return CycloNum(self, (k,) + (0,) * (self.phi - 1), 1)
+        return _reduced(self, (k,) + (0,) * (self.phi - 1), 1)
 
     def from_rat(self, r):
         r = RAT(r)
-        return CycloNum(self, (r.numerator,) + (0,) * (self.phi - 1), r.denominator)
+        return _reduced(self, (r.numerator,) + (0,) * (self.phi - 1), r.denominator)
 
     def element(self, coeffs):
         coeffs = [RAT(c) for c in coeffs]
@@ -278,8 +284,8 @@ class CycloNum:
 
     ``nums`` holds integer numerators over the positive denominator ``den``,
     with gcd(nums, den) = 1; zero is all-zero numerators over 1.  Build
-    elements through CycloField, which keeps that form.  ``_root`` is the
-    index in the field's root table for table elements, else None.
+    elements through CycloField, which keeps that form and hands out each
+    value +-q^k as its one root-table object; ``_root`` is its index, else None.
     """
 
     __slots__ = ("field", "nums", "den", "_is0", "_root", "_hash")
@@ -349,6 +355,8 @@ class CycloNum:
             return self
         if self._root is not None:
             return self.field._root_prod[self._root][self.field.n]
+        # the roots +-q^k form a group, so the negation (or inverse) of a
+        # non-root and a root times a non-root are never roots: no lookup
         return CycloNum(self.field, tuple([-c for c in self.nums]), self.den)
 
     def __mul__(self, other):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,7 +322,8 @@ ROOT_FIELDS = {n: cyclo_field(n) for n in (3, 4, 5, 6, 7, 8, 9, 12)}
 
 
 def _plain(x):
-    """A copy of x off the root table, so its products take the general path."""
+    """A copy of x off the root table, so its products take the general path
+    (only a test builds such a copy: the field never hands one out)."""
     return CycloNum(x.field, x.nums, x.den)
 
 
@@ -331,6 +333,22 @@ def _signed_power(F, r):
     _, rem = _poly_divmod([RAT(0)] * (r % n) + [RAT(1)], F.modulus)
     x = F.element(rem)
     return -x if r >= n else x
+
+
+# the values +-q^k of each order as (nums, den), computed without the table
+ROOT_VALUES = {
+    n: {(v.nums, v.den) for v in (_signed_power(F, r) for r in range(2 * n))}
+    for n, F in ROOT_FIELDS.items()
+}
+
+
+def _assert_value_rule(x):
+    """x is its field's table object exactly when its value is +-q^k."""
+    F = x.field
+    if (x.nums, x.den) in ROOT_VALUES[F.n]:
+        assert x._root is not None and x is F._roots[x._root]
+    else:
+        assert x._root is None
 
 
 def roots_and_element():
@@ -364,7 +382,8 @@ def test_root_products_match_general_multiply(rsx):
     for y in (r * s, -r):
         assert y._root is not None and y is F._roots[y._root]
     if not x.is_zero():
-        assert (r * x)._root is None and (x * r).den == x.den
+        # the roots form a group: r * x is a root exactly when x is one
+        assert ((r * x)._root is None) == (x._root is None) and (x * r).den == x.den
 
 
 @PROPS
@@ -374,11 +393,11 @@ def test_root_products_match_general_multiply(rsx):
     )
 )
 def test_even_order_alias(kx):
-    # -q^k = q^(k + n/2) for even n: two table entries, one value
+    # -q^k = q^(k + n/2) for even n: two table indices, one object
     k, x = kx
     F = x.field
     neg, alias = -F.q_pow(k), F.q_pow(k + F.n // 2)
-    assert neg == alias and hash(neg) == hash(alias) and len({neg, alias}) == 1
+    assert neg is alias and F._roots[F.n + k] is alias
     assert neg * x == alias * x == _plain(alias) * x
     assert neg * F.q == alias * F.q
     assert neg.serialize() == alias.serialize()
@@ -389,8 +408,17 @@ def _wrong_red(red):
     return red[:-1] + [(red[-1][0] + 1,) + red[-1][1:]]
 
 
-@pytest.mark.parametrize("n", [3, 5, 12])
-@pytest.mark.parametrize("part", ["column", "product", "negation", "value"])
+def _corrupt_intern_map(F, part):
+    if part == "intern-key":
+        F._root_of[F._roots[1].nums] = F._roots[2]  # q's key bound to the q^2 object
+    else:
+        del F._root_of[F._roots[F.n].nums]  # -1 missing from the map
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12])
+@pytest.mark.parametrize(
+    "part", ["column", "product", "negation", "value", "intern-key", "intern-missing"]
+)
 def test_root_table_check_catches_corruption(n, part):
     F = cyclo_field(n)
     F._check_roots()
@@ -401,8 +429,10 @@ def test_root_table_check_catches_corruption(n, part):
         F._root_prod[2][n - 1] = F._roots[0]  # q^2 * q^(n-1) read as 1
     elif part == "negation":
         F._root_prod[n + 1][n] = F._roots[n + 1]  # -(-q) read as -q
-    else:
+    elif part == "value":
         F._roots[3] = CycloNum(F, F._roots[2].nums, 1)
+    else:
+        _corrupt_intern_map(F, part)
     with pytest.raises(ArithmeticError):
         F._check_roots()
 
@@ -426,6 +456,16 @@ def test_field_construction_runs_the_root_check(monkeypatch):
     for n in (3, 5, 12):
         with pytest.raises(ArithmeticError, match="root table product"):
             cyclo_field(n)
+    for part in ("intern-key", "intern-missing"):
+
+        def corrupt_map(self, part=part):
+            build(self)
+            _corrupt_intern_map(self, part)
+
+        monkeypatch.setattr(CycloField, "_build_roots", corrupt_map)
+        for n in (3, 4, 5, 12):
+            with pytest.raises(ArithmeticError, match="root intern map"):
+                cyclo_field(n)
 
 
 def factors(F):
@@ -465,12 +505,73 @@ def test_flagged_memo_coefficients_are_table_roots():
         # the basis-pair products and the letter powers they are built from
         for memo in (A._pair_memo, A._pow_memo):
             coeffs = [c for terms in memo.values() for c in terms.values()]
+            for c in coeffs:
+                _assert_value_rule(c)
+                if c._root is not None:
+                    assert c == _signed_power(F, c._root)
             flagged = [c for c in coeffs if c._root is not None]
-            for c in flagged:
-                assert c is F._roots[c._root]
-                assert c == _signed_power(F, c._root)
-            if A is H:
-                # every structure constant of the basic family is a power of q
-                assert len(flagged) == len(coeffs) > 625
-            else:
-                assert 0 < len(flagged) < len(coeffs)
+            # every structure constant met here is +-q^k, so every one is
+            # flagged, on the deformed family too (sums there reach roots)
+            assert len(flagged) == len(coeffs) > (625 if A is H else 0)
+
+
+# -- the value rule: one object per root value ---------------------------------
+
+
+def value_rule_case():
+    """A field of order in ROOT_FIELDS, an element or root x, a table root r,
+    a small integer and a nonzero fraction."""
+
+    def draw(n):
+        F = ROOT_FIELDS[n]
+        root = st.integers(0, 2 * n - 1).map(lambda r: F._roots[r])
+        c = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+        return st.tuples(factors(F), root, st.integers(-3, 3), c)
+
+    return st.sampled_from(sorted(ROOT_FIELDS)).flatmap(draw)
+
+
+@PROPS
+@given(value_rule_case())
+def test_every_root_value_is_its_table_object(case):
+    x, r, k, c = case
+    F = x.field
+    y = r - x
+    results = [x, y, x + y, r - y, y - r, x - x, -x, -y, x * y, y * y, x * k, k * y]
+    results += [y.scale(c), r.scale(c), r.scale(c).scale(1 / c), (r * k).scale(RAT(1, k or 1))]
+    results += [F.from_int(k), F.parse(x.serialize()), F.parse(y.serialize()), F.parse(str(r))]
+    for z in (x, y, r):
+        if not z.is_zero():
+            results += [z.inverse(), (r * z) * z.inverse(), z.inverse() * (z * r)]
+    for z in results:
+        _assert_value_rule(z)
+    assert x + y is r
+    if not x.is_zero():
+        assert (r * x) * x.inverse() is r
+
+
+def test_module_action_entries_follow_the_value_rule():
+    # every action entry equal to +-q^k, however it was computed (sums,
+    # elimination, spinning, tensoring), is the table object
+    from hopfring.algebra import AlgebraSpec, build_algebra
+    from hopfring.repn import module_catalog, tensor_module
+
+    mods = []
+    for spec in (AlgebraSpec("tensor_taft", 3), AlgebraSpec("hpq", 3, 1)):
+        cat = module_catalog(build_algebra(spec))
+        mods += list(cat.simples.values()) + list(cat.pims.values())
+    hpq_pims = list(cat.pims.values())
+    mods.append(tensor_module(hpq_pims[0], hpq_pims[-1]))  # one P (x) P
+    entries = [
+        c for M in mods for mat in M.acts.values() for row in mat.sparse_rows for c in row.values()
+    ]
+    for c in entries:
+        _assert_value_rule(c)
+    assert sum(c._root is not None for c in entries) > len(entries) // 2
+
+
+def test_cyclonums_are_built_only_in_cyclo():
+    # every other module gets its scalars from the field, which keeps the rule
+    src = Path(cyclo.__file__).parent
+    builders = [p.name for p in sorted(src.glob("*.py")) if "CycloNum(" in p.read_text()]
+    assert builders == ["cyclo.py"]
