@@ -219,6 +219,7 @@ class Algebra:
         self._radical_gens = None
         self._loewy = None
         self._regular = None
+        self._regular_cols = None
         self.one = AlgElt(self, {self._unit: self.field.one})
         self.zero_elt = AlgElt(self, {})
         self._self_check()

@@ -3,9 +3,12 @@
 A module carries one sparse-row ``Mat`` per generator, from the build
 through the tensor products to the relation check, which runs on
 construction.  The grouplikes b, c act semisimply with root-of-unity
-eigenvalues, so every module has a weight decomposition; modules built
-from catalogued pieces keep track of a weight basis, which collapses the
-Hom-space and multiplicity computations to small block systems.
+eigenvalues, so every module has a weight decomposition, which collapses
+the Hom-space and multiplicity computations to small block systems.  The
+H_n(1,q) catalog is found by spinning weight vectors with the regular
+module's sparse columns and splitting each H e(i,j); its pieces, their
+layers and their products keep b and c diagonal, so weights are read off
+the diagonals and eigen-solved only for other modules.
 
 Decomposition into simples and projectives is by Hom counting: with
 t = top multiplicities, c = composition multiplicities and C the Cartan
@@ -34,7 +37,7 @@ from .linalg import (
     rref_rows,
     solve,
 )
-from .structure import _vector_to_elt, jacobson_radical, radical_ideal_generators
+from .structure import jacobson_radical, radical_ideal_generators
 
 __all__ = [
     "Module",
@@ -301,13 +304,37 @@ def weight_decomposition(M):
     return out
 
 
+def _diagonal_weights(M):
+    """Weights read off b and c if both are diagonal in table roots q^k, k < n."""
+    n = M.algebra.n
+    diag = []
+    for name in ("b", "c"):
+        roots = [row[i]._root if len(row) == 1 and i in row else None
+                 for i, row in enumerate(M.acts[name].sparse_rows)]
+        if not all(r is not None and r < n for r in roots):
+            return None
+        diag.append(roots)
+    return list(zip(*diag))
+
+
 def weightized(M):
-    """A weight-basis copy of M plus the change of basis (P, Pinv)."""
+    """A weight-basis form of M and the change of basis (P, Pinv) to it.
+
+    Where b and c act diagonally by powers of q (catalog pieces, their
+    layers and products) the form shares M's matrices and P is None.
+    Otherwise P holds the weight spaces' echelon bases in weight order; on
+    a diagonal module it would sort the basis stably by weight, so
+    ``hom_dim`` sets up the same equations either way.
+    """
     if M.weights is not None:
         return M, None
     if M._weightized is not None:
         return M._weightized
     H = M.algebra
+    weights = _diagonal_weights(M)
+    if weights is not None:
+        M._weightized = (Module(H, M.acts, label=M.label, weights=weights, check=False), None)
+        return M._weightized
     f = H.field
     wd = weight_decomposition(M)
     cols = []
@@ -482,51 +509,66 @@ def radical_filtration(M, labels_and_simples):
 def spin_module(H, seeds, label=None):
     """Cyclic closure of weight vectors of the regular module, as a Module.
 
-    Spinning is done weight space by weight space, so the resulting basis
-    is a weight basis for free.
+    Spinning applies the regular module's sparse columns weight space by
+    weight space, so only the seeds' weights are computed.  The basis is
+    each weight space's canonical echelon rows, in weight order, and each
+    action column is read off the target weight space's rows; the Module
+    check then proves the relations and the declared weights.
     """
+    f = H.field
+    if H._regular_cols is None:  # row j of each is the column L_g e_j
+        H._regular_cols = [m.transpose() for m in regular_representation(H).acts.values()]
+    cols = H._regular_cols
+    shifts = [H.weight_shift(name) for name in H.letters]
+    n = H.n
     builders = {}
     frontier = []
     for v in seeds:
-        w = _left_weight(H, v)
-        sb = builders.setdefault(w, SpanBuilder(H.field, H.dim))
-        if sb.insert(v.as_row()):
-            frontier.append((w, v))
-    gens = [(name, H.gen(name), H.weight_shift(name)) for name in H.letters]
-    n = H.n
+        w, row = _left_weight(H, v), v.as_row()
+        if builders.setdefault(w, SpanBuilder(f, H.dim)).insert(row):
+            frontier.append((w, row))
     while frontier:
+        rows = Mat(f, len(frontier), H.dim, [row for _, row in frontier])
         nxt = []
-        for w, elt in frontier:
-            for name, g, sh in gens:
-                img = g * elt
-                if img.is_zero():
-                    continue
+        for op, sh in zip(cols, shifts):
+            for (w, _), img in zip(frontier, (rows * op).sparse_rows):
                 w2 = ((w[0] + sh[0]) % n, (w[1] + sh[1]) % n)
-                sb = builders.setdefault(w2, SpanBuilder(H.field, H.dim))
-                if sb.insert(img.as_row()):
+                if img and builders.setdefault(w2, SpanBuilder(f, H.dim)).insert(img):
                     nxt.append((w2, img))
         frontier = nxt
-    vectors = []
-    for w in sorted(builders):
-        for row in builders[w].to_subspace().rows:
-            vectors.append(_vector_to_elt(H, row))
-    return module_from_vectors(H, vectors, label=label)
+    subs = {w: builders[w].to_subspace() for w in sorted(builders)}
+    weights = [w for w, sub in subs.items() for _ in sub.rows]
+    offset, k = {}, 0
+    for w, sub in subs.items():
+        offset[w], k = k, k + sub.dim
+    basis = Mat(f, len(weights), H.dim, [row for sub in subs.values() for row in sub.rows])
+    acts = {}
+    for name, op, sh in zip(H.letters, cols, shifts):
+        columns = []
+        for w, img in zip(weights, (basis * op).sparse_rows):
+            col = [f.zero] * len(weights)
+            if img:
+                w2 = ((w[0] + sh[0]) % n, (w[1] + sh[1]) % n)
+                try:
+                    coords = subs[w2].coords(img)
+                except ValueError:
+                    raise ModuleError("the span is not invariant under %s at weight %r" % (name, w))
+                col[offset[w2]:offset[w2] + len(coords)] = coords
+            columns.append(col)
+        acts[name] = Mat.from_rows(f, columns).transpose()
+    return Module(H, acts, label=label, weights=weights)
 
 
 def _left_weight(H, v):
     """Weight of a left-multiplication eigenvector of the regular module."""
-    f = H.field
     out = []
     for name in ("b", "c"):
         ratio = _ratio(H.gen(name) * v, v)
         if ratio is None:
             raise ModuleError("vector is not a weight vector")
-        for k in range(H.n):
-            if f.q_pow(k) == ratio:
-                out.append(k)
-                break
-        else:
+        if ratio._root is None or ratio._root >= H.n:  # q^k is the table root k
             raise ModuleError("eigenvalue is not a power of q")
+        out.append(ratio._root)
     return tuple(out)
 
 
@@ -610,7 +652,8 @@ class ModuleCatalog:
         return out_a, out_b
 
     def char_matrix(self):
-        """Weight characters of the simples; invertible for the tested orders."""
+        """Weight characters of the simples, one row per label.  Singular on
+        H_n(1,q), whose composition vectors therefore take the Hom route."""
         if self._char_matrix is None:
             n = self.algebra.n
             wkeys = [(i, j) for i in range(n) for j in range(n)]

@@ -4,6 +4,8 @@ The benchmark refuses a change whose answers differ from the stored ones;
 this test makes the same judgement part of the test suite.  The judging
 functions are read from perfbench/run.py without importing it, so the test
 uses the benchmark's own comparison and leaves its module state alone.
+Each command runs once per session, shared with the digest gate
+(tests/test_cli_digests.py) through the ``cli_run`` fixture.
 """
 
 import ast
@@ -12,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from hopfring import cli
+from make_cli_digests import REFERENCE, REFERENCE_ARGS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 
 def _benchmark_functions(*names):
@@ -32,7 +33,7 @@ JUDGE = _benchmark_functions("answers", "first_difference", "judge")["judge"]
 
 
 @pytest.mark.parametrize("key", sorted(REFERENCE))
-def test_reference_answer(key, capsys):
-    rc = cli.main(key.split() + ["--seed", "1"])
-    doc = json.loads(capsys.readouterr().out)
+def test_reference_answer(key, cli_run):
+    rc, text = cli_run(key + REFERENCE_ARGS)
+    doc = json.loads(text)
     assert JUDGE(rc, doc, REFERENCE[key]) is None

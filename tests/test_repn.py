@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from hopfring.algebra import AlgebraSpec, build_algebra
+from hopfring import repn
+from hopfring.algebra import Algebra, AlgebraSpec, build_algebra
 from hopfring.labels import Label
 from hopfring.linalg import Mat, kronecker
 from hopfring.repn import (
@@ -14,15 +15,18 @@ from hopfring.repn import (
     decompose,
     hom_dim,
     module_catalog,
+    module_from_vectors,
     pim_arrow_scalars,
     projective_P,
     radical_filtration,
     regular_representation,
     simple_S,
+    spin_module,
     tensor_module,
     weight_decomposition,
+    weightized,
 )
-from hopfring.structure import jacobson_radical, radical_ideal_generators
+from hopfring.structure import _vector_to_elt, jacobson_radical, radical_ideal_generators
 
 
 def get(family, n, p=None):
@@ -371,8 +375,12 @@ def test_h1_decompose_v2_v3():
 
 
 def test_h1_char_and_hom_composition_agree():
+    """Both calls take the Hom route today: the weight characters of the
+    H_n(1,q) simples are dependent.  This becomes a two-way check when
+    composition factors come from trace characters (ROADMAP 3(a))."""
     H = get("hpq", 3, 1)
     cat = module_catalog(H)
+    assert cat.char_inverse() == "singular"
     m = tensor_module(cat.pims[Label("V", 1, 0)], cat.simples[Label("V", 2, 1)])
     assert cat.composition_vector(m) == cat.composition_vector(m, via_hom=True)
 
@@ -488,3 +496,136 @@ def test_solve_mults_degenerate_cartan_raises():
     )
     with pytest.raises(ModuleError):
         bad._solve_mults([0] * len(cat.labels), [0] * len(cat.labels))
+
+
+# -- catalog spin and weight forms -------------------------------------------
+
+
+def _spin_seeds(H, count=3):
+    """Each e(i,j), then the first ``count`` simple seeds a^(n-1) e(s,t) d^k."""
+    n = H.n
+    es = H.group_idempotents()
+    a_pow = H.monomial((n - 1, 0, 0, 0))
+    seeds = [(a_pow * es[(s, t)]) * H.monomial((0, 0, 0, k))
+             for s in range(n) for t in range(n) for k in range(n)]
+    return [es[w] for w in sorted(es)] + [v for v in seeds if not v.is_zero()][:count]
+
+
+def _spin_by_products(H, seed):
+    """The spin by algebra products g*v, as module_from_vectors expects it."""
+    from hopfring.linalg import SpanBuilder
+
+    w0 = repn._left_weight(H, seed)
+    builders = {w0: SpanBuilder(H.field, H.dim)}
+    builders[w0].insert(seed.as_row())
+    frontier = [(w0, seed)]
+    while frontier:
+        nxt = []
+        for w, v in frontier:
+            for name in H.letters:
+                img = H.gen(name) * v
+                sh = H.weight_shift(name)
+                w2 = ((w[0] + sh[0]) % H.n, (w[1] + sh[1]) % H.n)
+                sb = builders.setdefault(w2, SpanBuilder(H.field, H.dim))
+                if not img.is_zero() and sb.insert(img.as_row()):
+                    nxt.append((w2, img))
+        frontier = nxt
+    rows = [row for w in sorted(builders) for row in builders[w].to_subspace().rows]
+    return module_from_vectors(H, [_vector_to_elt(H, row) for row in rows])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spin_matches_module_from_vectors(n):
+    H = get("hpq", n, 1)
+    for seed in _spin_seeds(H):
+        M = spin_module(H, [seed])
+        ref = _spin_by_products(H, seed)
+        assert M.weights == ref.weights
+        assert M.acts == ref.acts
+
+
+def test_spin_fails_on_a_corrupt_regular_column():
+    H = Algebra(AlgebraSpec("hpq", 3, 1))  # fresh: the corruption stays local
+    e = H.group_idempotents()[(0, 0)]
+    assert spin_module(H, [e]).dim == 9
+    # the column L_a e_j, for a basis index j in the seed's support
+    col = H._regular_cols[H.letters.index("a")].sparse_rows[next(iter(e.as_row()))]
+    i = next(iter(col))
+    col[i] = col[i] + col[i]
+    with pytest.raises(ModuleError, match="violates relations"):
+        spin_module(H, [e])
+
+
+def test_spin_rejects_a_seed_that_is_not_a_weight_vector():
+    H = get("hpq", 3, 1)
+    es = H.group_idempotents()
+    with pytest.raises(ModuleError, match="not a weight vector"):
+        spin_module(H, [es[(0, 0)] + es[(1, 0)]])
+
+
+def test_spin_names_a_span_that_is_not_invariant(monkeypatch):
+    # with Subspace.coords failing, the spin reports the generator and weight
+    H = get("hpq", 3, 1)
+
+    def refuse(self, vec):
+        raise ValueError("vector not contained in subspace")
+
+    monkeypatch.setattr(repn.Subspace, "coords", refuse)
+    with pytest.raises(ModuleError, match=r"not invariant under a at weight \(0, 0\)"):
+        spin_module(H, [H.group_idempotents()[(0, 0)]])
+
+
+def _count_eigen_solves(monkeypatch):
+    calls = []
+    real = repn.weight_decomposition
+
+    def counted(M):
+        calls.append(M.dim)
+        return real(M)
+
+    monkeypatch.setattr(repn, "weight_decomposition", counted)
+    return calls
+
+
+def test_catalog_and_products_read_diagonal_weights(monkeypatch):
+    calls = _count_eigen_solves(monkeypatch)
+    H = Algebra(AlgebraSpec("hpq", 3, 1))  # fresh, so its catalog is built here
+    cat = module_catalog(H)
+    P1, P2 = cat.pims[Label("V", 2, 1)], cat.pims[Label("V", 2, 2)]
+    decompose(tensor_module(P1, P2), H)
+    assert calls == []
+    decompose(conjugated_module(P1, 0), H)
+    assert calls
+
+
+def test_weight_forms_agree_with_the_eigen_route(monkeypatch):
+    H = get("hpq", 3, 1)
+    cat = module_catalog(H)
+    P, S = cat.pims[Label("V", 1, 0)], cat.simples[Label("V", 2, 1)]
+
+    def homs():
+        T = tensor_module(P, S)
+        spaces = [hom_dim(T, T), hom_dim(P, T), hom_dim(T, S)]
+        return [(h.dim, h.intertwiners()) for h in spaces], weightized(T)[1]
+
+    fast, fast_tr = homs()
+    monkeypatch.setattr(repn, "_diagonal_weights", lambda M: None)
+    slow, slow_tr = homs()
+    assert fast_tr is None and slow_tr is not None
+    assert fast == slow
+    assert all(dim for dim, _ in fast)
+
+
+def test_a_diagonal_minus_one_takes_the_eigen_route(monkeypatch):
+    calls = _count_eigen_solves(monkeypatch)
+    H = get("hpq", 3, 1)
+    f = H.field
+    acts = {
+        "a": Mat.zeros(f, 2, 2),
+        "d": Mat.zeros(f, 2, 2),
+        "b": Mat.from_rows(f, [[f.one, f.zero], [f.zero, -f.one]]),
+        "c": Mat.identity(f, 2),
+    }
+    with pytest.raises(ModuleError):
+        weightized(Module(H, acts, check=False))
+    assert calls == [2]
