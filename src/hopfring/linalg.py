@@ -3,26 +3,20 @@
 A matrix is a list of sparse rows (column -> nonzero CycloNum), the one
 form of module actions, regular representations, intertwiners and
 equation systems, and of the reduced echelon basis of a ``Subspace``,
-which is canonical and so comparable by equality.  There are two
-eliminations: the batch ``rref_rows``, which works on a dense copy of its
-rows and whose pivots are chosen by a coefficient-size heuristic and
-normalized early to keep fraction growth in check (the elimination hot spot
-tracked by the benchmark harness), and the incremental ``SpanBuilder`` on
-sparse rows, which builds every ``Subspace``.  Dense rows live only in
-``rref_rows``'s working copy and in the vectors ``Mat.apply`` takes and
-returns.
+which is canonical and so comparable by equality.  There is one
+elimination, the incremental ``SpanBuilder`` on sparse rows; ``rref_rows``
+is its batch form, and kernels, solutions and inverses are read off the
+sparse rows it returns.  Dense rows live only in the vectors ``Mat.apply``
+takes and returns.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 __all__ = [
     "Mat",
     "Subspace",
     "SpanBuilder",
     "kernel_basis",
-    "rank",
     "image",
     "solve",
     "invert",
@@ -32,21 +26,6 @@ __all__ = [
 ]
 
 
-def _size(x):
-    """Rough bit size of a cyclotomic scalar, used for pivot selection: the
-    bit lengths of numerator and denominator of each nonzero coordinate in
-    lowest terms, summed."""
-    d = x.den
-    if d == 1:
-        return sum([c.bit_length() + 1 for c in x.nums if c])
-    total = 0
-    for c in x.nums:
-        if c:
-            g = gcd(c, d)
-            total += (c // g).bit_length() + (d // g).bit_length()
-    return total
-
-
 def _sparse(vec):
     """A dense vector as a sparse row; a sparse row is copied."""
     if isinstance(vec, dict):
@@ -54,61 +33,11 @@ def _sparse(vec):
     return {j: c for j, c in enumerate(vec) if not c._is0}
 
 
-def _clear_column(rows, prow, col, ncols):
-    """Subtract multiples of the normalized pivot row prow (pivot at col) from
-    every row in rows, so that each has a zero in column col."""
-    for row in rows:
-        f = row[col]
-        if not f._is0:
-            for j in range(col, ncols):
-                pj = prow[j]
-                if not pj._is0:
-                    row[j] = row[j] - f * pj
-
-
 def rref_rows(vectors, field, ncols):
-    """Reduced row echelon form of sparse rows or dense lists; returns the
-    dense rows and their pivot columns."""
-    z = field.zero
-    work = []
-    for v in vectors:
-        if isinstance(v, dict):
-            if v:
-                row = [z] * ncols
-                for j, c in v.items():
-                    row[j] = c
-                work.append(row)
-        elif any(not c._is0 for c in v):
-            work.append(list(v))
-    done = []
-    pivots = []
-    for col in range(ncols):
-        best = -1
-        best_size = None
-        for i, row in enumerate(work):
-            e = row[col]
-            if not e._is0:
-                s = _size(e)
-                if best_size is None or s < best_size:
-                    best, best_size = i, s
-                    if s <= 2:
-                        break
-        if best < 0:
-            continue
-        prow = work.pop(best)
-        pv = prow[col]
-        if not pv.is_one():
-            inv = pv.inverse()
-            prow = [c if c._is0 else c * inv for c in prow]
-        _clear_column(work + done, prow, col, ncols)
-        done.append(prow)
-        pivots.append(col)
-        # rows that became zero stay in work: no column picks them as a
-        # pivot, and _clear_column skips them
-        if not work:
-            break
-    order = sorted(range(len(done)), key=lambda i: pivots[i])
-    return [done[i] for i in order], [pivots[i] for i in order]
+    """Reduced row echelon form of the span of sparse rows or dense lists:
+    the canonical sparse rows and their pivot columns, in pivot order."""
+    span = Subspace.from_vectors(field, ncols, vectors)
+    return span.rows, span.pivots
 
 
 class Mat:
@@ -424,23 +353,16 @@ def kernel_basis(m):
     rows, pivots = rref_rows(m.sparse_rows, m.field, m.cols)
     pivset = set(pivots)
     one = m.field.one
-    vecs = []
-    for f in range(m.cols):
-        if f in pivset:
-            continue
-        v = {f: one}
-        for row, p in zip(rows, pivots):
-            if not row[f]._is0:
-                v[p] = -row[f]
-        vecs.append(v)
+    vecs = {f: {f: one} for f in range(m.cols) if f not in pivset}
+    # a reduced row is zero at the other pivots, so each of its other
+    # entries sits in a free column
+    for row, p in zip(rows, pivots):
+        for f, c in row.items():
+            if f != p:
+                vecs[f][p] = -c
     # one vector per free column is a basis, but not the canonical echelon
     # one: a pivot column left of f can carry its leading entry
-    return Subspace.from_vectors(m.field, m.cols, vecs)
-
-
-def rank(m):
-    _, pivots = rref_rows(m.sparse_rows, m.field, m.cols)
-    return len(pivots)
+    return Subspace.from_vectors(m.field, m.cols, vecs.values())
 
 
 def image(m):
@@ -457,11 +379,12 @@ def solve(m, b):
             row[m.cols] = bv
         aug.append(row)
     rows, pivots = rref_rows(aug, m.field, m.cols + 1)
-    x = [m.field.zero] * m.cols
+    if pivots and pivots[-1] == m.cols:
+        return None
+    z = m.field.zero
+    x = [z] * m.cols
     for row, p in zip(rows, pivots):
-        if p == m.cols:
-            return None
-        x[p] = row[m.cols]
+        x[p] = row.get(m.cols, z)
     return x
 
 
@@ -515,6 +438,6 @@ def invert(m):
     one = m.field.one
     aug = [{**row, d + i: one} for i, row in enumerate(m.sparse_rows)]
     rows, pivots = rref_rows(aug, m.field, 2 * d)
-    if pivots[:d] != list(range(d)):
+    if pivots[:d] != tuple(range(d)):
         raise ValueError("matrix not invertible")
-    return Mat.from_rows(m.field, [row[d:] for row in rows])
+    return Mat(m.field, d, d, [{j - d: c for j, c in row.items() if j >= d} for row in rows])

@@ -591,8 +591,6 @@ class ModuleCatalog:
         self.pims = pims  # simple label -> its projective cover Module
         self.cartan = cartan  # (top label T, simple label S) -> [P(T):S]
         self._cartan_factor = None
-        self._char_matrix = None
-        self._char_inverse = None
 
     def proj_label(self, top_label):
         if top_label.kind == "S":
@@ -625,19 +623,24 @@ class ModuleCatalog:
             f = self.algebra.field
             cm = self.cartan_matrix()
             free = [j for j, lab in enumerate(labs) if not self.self_projective(lab)]
-            aug = [
-                [f.from_int(cm[j][i] - (i == j)) for j in free]
-                + [f.one if c == i else f.zero for c in range(k)]
-                for i in range(k)
-            ]
-            rows, pivots = rref_rows(aug, f, len(free) + k)
-            if pivots[: len(free)] != list(range(len(free))):
+            nf = len(free)
+            aug = []
+            for i in range(k):
+                row = {nf + i: f.one}
+                for c, j in enumerate(free):
+                    x = cm[j][i] - (i == j)
+                    if x:
+                        row[c] = f.from_int(x)
+                aug.append(row)
+            rows, pivots = rref_rows(aug, f, nf + k)
+            if pivots[:nf] != tuple(range(nf)):
                 raise ModuleError("Cartan system is degenerate on the cover columns")
-            self._cartan_factor = (free, [row[len(free):] for row in rows])
+            factor = [{j - nf: c for j, c in row.items() if j >= nf} for row in rows]
+            self._cartan_factor = (free, factor)
         free, factor = self._cartan_factor
         rhs = [cvec[i] - tvec[i] for i in range(k)]
         zero = self.algebra.field.zero
-        vals = [sum((c * r for c, r in zip(row, rhs) if r), zero) for row in factor]
+        vals = [sum((c * rhs[j] for j, c in row.items() if rhs[j]), zero) for row in factor]
         if any(not v.is_zero() for v in vals[len(free):]):
             return None
         out_b = [0] * k
@@ -651,51 +654,12 @@ class ModuleCatalog:
             return None
         return out_a, out_b
 
-    def char_matrix(self):
-        """Weight characters of the simples, one row per label.  Singular on
-        H_n(1,q), whose composition vectors therefore take the Hom route."""
-        if self._char_matrix is None:
-            n = self.algebra.n
-            wkeys = [(i, j) for i in range(n) for j in range(n)]
-            rows = []
-            for lab in self.labels:
-                wd = _weight_dims(self.simples[lab])
-                rows.append([wd.get(w, 0) for w in wkeys])
-            self._char_matrix = (wkeys, rows)
-        return self._char_matrix
-
-    def char_inverse(self):
-        if self._char_inverse is None:
-            _, rows = self.char_matrix()
-            k = len(rows)
-            f = self.algebra.field
-            m = Mat.from_rows(f, [[f.from_int(rows[i][j]) for i in range(k)] for j in range(k)])
-            try:
-                self._char_inverse = invert(m)
-            except ValueError:
-                self._char_inverse = "singular"
-        return self._char_inverse
-
     def composition_vector(self, M, via_hom=False):
         """[M : S] for every simple S, in label order."""
         labs = self.labels
-        H = self.algebra
-        if H.basic and not via_hom:
+        if self.algebra.basic and not via_hom:
             wd = _weight_dims(M)
             return [wd.get((lab.a, lab.b), 0) for lab in labs]
-        inv = None if via_hom else self.char_inverse()
-        if inv is not None and inv != "singular" and not via_hom:
-            wkeys, _ = self.char_matrix()
-            wd = _weight_dims(M)
-            vec = [wd.get(w, 0) for w in wkeys]
-            zero = H.field.zero
-            out = []
-            for row in inv.sparse_rows:
-                x = sum((c * vec[j] for j, c in row.items() if vec[j]), zero).as_int()
-                if x is None or x < 0:
-                    raise ModuleError("character system has no integral solution")
-                out.append(x)
-            return out
         return [hom_dim(self.pims[lab], M).dim for lab in labs]
 
 

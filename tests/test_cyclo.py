@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from hopfring import cyclo
 from hopfring.cyclo import RAT, CycloField, CycloNum, _poly_divmod, cyclo_field, q_factorial
-from hopfring.linalg import _size
 
 
 @pytest.fixture(scope="module", params=[3, 4, 5])
@@ -240,20 +239,6 @@ def test_hash_is_fraction_tuple_hash(fab):
         assert x.coeffs == coords
         assert hash(x) == hash(coords)
         assert F.element(coords) == x
-
-
-def _size_by_fractions(x):
-    return sum(
-        c.numerator.bit_length() + c.denominator.bit_length() for c in x.coeffs if c
-    )
-
-
-@PROPS
-@given(field_and(2))
-def test_pivot_size_matches_fraction_definition(fab):
-    F, a, b = fab
-    for x in (a, a * b, a - b, F.q_pow(1) + F.one, F.zero):
-        assert _size(x) == _size_by_fractions(x)
 
 
 # -- the integer-only inverse --------------------------------------------------

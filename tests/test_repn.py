@@ -374,17 +374,6 @@ def test_h1_decompose_v2_v3():
     assert dv == DecompVector({}, {Label("Pr", 2, 1): 1})
 
 
-def test_h1_char_and_hom_composition_agree():
-    """Both calls take the Hom route today: the weight characters of the
-    H_n(1,q) simples are dependent.  This becomes a two-way check when
-    composition factors come from trace characters (ROADMAP 3(a))."""
-    H = get("hpq", 3, 1)
-    cat = module_catalog(H)
-    assert cat.char_inverse() == "singular"
-    m = tensor_module(cat.pims[Label("V", 1, 0)], cat.simples[Label("V", 2, 1)])
-    assert cat.composition_vector(m) == cat.composition_vector(m, via_hom=True)
-
-
 def test_decompose_invariant_under_conjugation():
     H = get("tensor_taft", 3)
     cat = module_catalog(H)
