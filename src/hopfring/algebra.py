@@ -144,13 +144,6 @@ class AlgElt:
     def __mul__(self, other):
         return self.algebra.mul(self, other)
 
-    def as_vector(self):
-        H = self.algebra
-        v = [H.field.zero] * H.dim
-        for m, c in self.terms.items():
-            v[H.index[m]] = c
-        return v
-
     def as_row(self):
         """The element as a sparse row: basis index -> nonzero scalar."""
         index = self.algebra.index

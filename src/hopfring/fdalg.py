@@ -9,7 +9,7 @@ and for the PBW algebras alike.
 
 from __future__ import annotations
 
-from .linalg import Mat, SpanBuilder, _sparse, kernel_basis
+from .linalg import Mat, SpanBuilder, _add_scaled, kernel_basis
 
 __all__ = ["TableAlgebra", "trace_form"]
 
@@ -46,43 +46,56 @@ def trace_form(field, basis, mul):
     return form
 
 
+def _form_matrix(field, form, rows, cols):
+    """The matrix of form(r, c) over r in rows and c in cols, as sparse rows
+    indexed by position."""
+    out = []
+    for r in rows:
+        row = {}
+        for k, c in enumerate(cols):
+            g = form(r, c)
+            if not g._is0:
+                row[k] = g
+        out.append(row)
+    return Mat(field, len(rows), len(cols), out)
+
+
 class TableAlgebra:
-    """Algebra on an abstract basis with product given as coordinate vectors."""
+    """Algebra on an abstract basis with product given as coordinate vectors,
+    each a sparse row (basis index -> nonzero scalar)."""
 
     def __init__(self, field, dim, product, unit=None):
-        """product(i, j) must return the coordinates of basis_i * basis_j."""
+        """product(i, j) must return the coordinates of basis_i * basis_j,
+        a sparse row with no stored zero."""
         self.field = field
         self.dim = dim
         self._table = {}
         self._product = product
-        self.unit = unit  # coordinate vector of 1, if known
+        self.unit = unit  # coordinates of 1, if known
         self._radical = None
 
     def basis_product(self, i, j):
-        """basis_i * basis_j as a dict from index to nonzero coordinate."""
+        """basis_i * basis_j, memoized."""
         key = (i, j)
         v = self._table.get(key)
         if v is None:
-            v = {k: c for k, c in enumerate(self._product(i, j)) if not c._is0}
-            self._table[key] = v
+            v = self._table[key] = self._product(i, j)
         return v
 
     def mul_vec(self, x, y):
-        """Product of two coordinate vectors (dense lists or sparse rows),
-        as a dense list."""
-        out = [self.field.zero] * self.dim
-        ys = _sparse(y).items()
-        for i, xi in _sparse(x).items():
-            for j, yj in ys:
-                c = xi * yj
-                for k, pk in self.basis_product(i, j).items():
-                    out[k] = out[k] + c * pk
+        """Product of two coordinate vectors."""
+        if not (isinstance(x, dict) and isinstance(y, dict)):
+            raise TypeError("coordinate vectors are sparse rows")
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                _add_scaled(out, xi * yj, self.basis_product(i, j))
         return out
 
     def gram(self):
-        form = trace_form(self.field, range(self.dim), self.basis_product)
-        rows = [[form(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        return Mat.from_rows(self.field, rows)
+        basis = range(self.dim)
+        form = trace_form(self.field, basis, self.basis_product)
+        return _form_matrix(self.field, form, basis, basis)
 
     def radical(self):
         if self._radical is None:
@@ -90,18 +103,15 @@ class TableAlgebra:
         return self._radical
 
     def is_idempotent(self, x):
-        return self.mul_vec(x, x) == list(x)
+        return self.mul_vec(x, x) == x
 
     def orthogonal(self, x, y):
-        z = self.field.zero
-        return all(c.is_zero() for c in self.mul_vec(x, y)) and all(
-            c.is_zero() for c in self.mul_vec(y, x)
-        )
+        return not self.mul_vec(x, y) and not self.mul_vec(y, x)
 
     def ideal_span(self, generators):
         """Two-sided ideal generated by the given coordinate vectors."""
         sb = SpanBuilder(self.field, self.dim)
-        frontier = [list(g) for g in generators]
+        frontier = list(generators)
         for g in frontier:
             sb.insert(g)
         while frontier:

@@ -14,11 +14,11 @@ import io
 import random
 from math import comb
 
-from .algebra import AlgebraSpec, _ratio, build_algebra
+from .algebra import AlgebraSpec, _merge, _ratio, build_algebra
 from .cyclo import RAT, cyclo_field
 from .fdalg import TableAlgebra
 from .labels import Label, basis_labels, format_combination, label_dim
-from .linalg import SpanBuilder
+from .linalg import SpanBuilder, _add_scaled
 
 __all__ = [
     "FusionError",
@@ -537,7 +537,6 @@ def verify_presentation(family, n, table=None, seed=0):
             x = {Label("S", 1, 1): 1}
             y = {Label("S", 0, 1): 1}
         z = {Label("P", 0, 0): 1}
-        gens = {"x": x, "y": y, "z": z}
         one = {table.one: 1}
         xn = table.power(x, n)
         yn = table.power(y, n)
@@ -554,7 +553,6 @@ def verify_presentation(family, n, table=None, seed=0):
     else:
         x = {Label("V", 1, 1): 1}
         y = {Label("V", 2, 0): 1}
-        gens = {"x": x, "y": y}
         one = {table.one: 1}
         xn = table.power(x, n)
         vanish = _eval_xy_poly(table, pres.vanishing, x, y)
@@ -564,7 +562,7 @@ def verify_presentation(family, n, table=None, seed=0):
         checks = [
             ("x^n - 1", xn == one),
             ("vanishing relation", not vanish),
-            ("factored form agrees", prod == vanish or (not prod and not vanish)),
+            ("factored form agrees", prod == vanish),
         ]
         monomial_images = []
         for (l, m) in pres.normal_monomials:
@@ -752,15 +750,14 @@ def class_algebra_radical(family, n, table=None):
     index = {lab: i for i, lab in enumerate(labs)}
     dim = len(labs)
 
-    def product(i, j):
-        out = [field.zero] * dim
-        for lab, m in table.entries[(labs[i], labs[j])].items():
-            out[index[lab]] = field.from_int(m)
-        return out
+    def vec(combo):
+        """An integer combination of labels as a coordinate vector."""
+        return {index[lab]: field.from_int(m) for lab, m in combo.items() if m}
 
-    alg = TableAlgebra(field, dim, product, unit=[
-        field.one if lab == table.one else field.zero for lab in labs
-    ])
+    def product(i, j):
+        return vec(table.entries[(labs[i], labs[j])])
+
+    alg = TableAlgebra(field, dim, product, unit=vec({table.one: 1}))
     rad = alg.radical()
     # radical generators: (1 - x) z and (for the undeformed family) (1 - y) z
     z = Label("P", 0, 0)
@@ -773,16 +770,9 @@ def class_algebra_radical(family, n, table=None):
     else:
         gens_labels = [{z: 1, Label("P", 1, 1): -1}]
         expected_quotient = n * (n + 1)
-    gen_vecs = []
-    for g in gens_labels:
-        v = [field.zero] * dim
-        for lab, m in g.items():
-            v[index[lab]] = field.from_int(m)
-        gen_vecs.append(v)
+    gen_vecs = [vec(g) for g in gens_labels]
     ideal = alg.ideal_span(gen_vecs)
-    nilpotent = all(
-        all(c.is_zero() for c in alg.mul_vec(v, v)) for v in gen_vecs
-    )
+    nilpotent = not any(alg.mul_vec(v, v) for v in gen_vecs)
     quotient = alg.quotient_by_ideal(ideal)
     report = {
         "family": family,
@@ -796,17 +786,13 @@ def class_algebra_radical(family, n, table=None):
     }
     # explicit idempotent census certifying the split product of fields
     idems = _census_idempotents(family, n, field, labs, index, ideal, alg)
-    ok_idem = True
-    ok_orth = True
-    total = [field.zero] * quotient.dim
+    ok_idem = all(quotient.is_idempotent(e) for e in idems)
+    ok_orth = all(
+        quotient.orthogonal(e, e2) for i, e in enumerate(idems) for e2 in idems[i + 1:]
+    )
+    total = {}
     for e in idems:
-        if not quotient.is_idempotent(e):
-            ok_idem = False
-        total = [a + b for a, b in zip(total, e)]
-    for i in range(len(idems)):
-        for j in range(i + 1, len(idems)):
-            if not quotient.orthogonal(idems[i], idems[j]):
-                ok_orth = False
+        _add_scaled(total, None, e)
     complete = total == quotient.unit
     primitive = all(
         _block_dim(quotient, e) == 1 for e in idems
@@ -839,7 +825,7 @@ def _census_idempotents(family, n, field, labs, index, ideal, alg):
 
     def class_vec(kind_powers):
         # kind_powers: dict (i, j, e) -> CycloNum coefficient of x^i y^j z^e
-        v = [field.zero] * len(labs)
+        v = {}
         for (i, j, e), c in kind_powers.items():
             if family == "tensor_taft":
                 lab = (
@@ -852,7 +838,7 @@ def _census_idempotents(family, n, field, labs, index, ideal, alg):
                     if e
                     else Label("S", i % n, (i + j) % n)
                 )
-            v[index[lab]] = v[index[lab]] + c
+            _merge(v, index[lab], c)
         return v
 
     def chi(k, l):

@@ -1,13 +1,13 @@
 """Exact linear algebra over Q(zeta_n).
 
-A matrix is a list of sparse rows (column -> nonzero CycloNum), the one
-form of module actions, regular representations, intertwiners and
-equation systems, and of the reduced echelon basis of a ``Subspace``,
-which is canonical and so comparable by equality.  There is one
-elimination, the incremental ``SpanBuilder`` on sparse rows; ``rref_rows``
-is its batch form, and kernels, solutions and inverses are read off the
-sparse rows it returns.  Dense rows live only in the vectors ``Mat.apply``
-takes and returns.
+Every vector is a sparse row (index -> nonzero CycloNum), and a matrix
+is a list of them: module actions, regular representations, intertwiners,
+equation systems and the reduced echelon basis of a ``Subspace``, which is
+canonical and so comparable by equality.  Coordinates, residuals and
+solutions are sparse rows too.  There is one elimination, the incremental
+``SpanBuilder``; ``rref_rows`` is its batch form, and kernels, solutions
+and inverses are read off the sparse rows it returns.  Dense lists appear
+only in the JSON that ``_serialized`` writes.
 """
 
 from __future__ import annotations
@@ -26,16 +26,9 @@ __all__ = [
 ]
 
 
-def _sparse(vec):
-    """A dense vector as a sparse row; a sparse row is copied."""
-    if isinstance(vec, dict):
-        return dict(vec)
-    return {j: c for j, c in enumerate(vec) if not c._is0}
-
-
 def rref_rows(vectors, field, ncols):
-    """Reduced row echelon form of the span of sparse rows or dense lists:
-    the canonical sparse rows and their pivot columns, in pivot order."""
+    """Reduced row echelon form of the span of sparse rows: the canonical
+    sparse rows and their pivot columns, in pivot order."""
     span = Subspace.from_vectors(field, ncols, vectors)
     return span.rows, span.pivots
 
@@ -65,15 +58,6 @@ class Mat:
     def identity(field, m):
         one = field.one
         return Mat(field, m, m, [{i: one} for i in range(m)])
-
-    @staticmethod
-    def from_rows(field, data):
-        """The matrix with the given dense rows."""
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("matrix shape mismatch")
-        return Mat(field, rows, cols, [_sparse(r) for r in data])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -136,19 +120,6 @@ class Mat:
             out.append(acc)
         return Mat(self.field, self.rows, other.cols, out)
 
-    def apply(self, vec):
-        """Matrix times column vector (both dense lists)."""
-        z = self.field.zero
-        out = []
-        for row in self.sparse_rows:
-            acc = z
-            for k, v in row.items():
-                x = vec[k]
-                if not x._is0:
-                    acc = acc + v * x
-            out.append(acc)
-        return out
-
     def transpose(self):
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.sparse_rows):
@@ -182,7 +153,7 @@ class Subspace:
     its pivot column and a zero at every other pivot column.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_row_at", "_complement")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_row_at", "_complement", "_complement_at")
 
     def __init__(self, field, ambient, rows, pivots):
         self.field = field
@@ -191,10 +162,11 @@ class Subspace:
         self.pivots = tuple(pivots)
         self._row_at = {p: i for i, p in enumerate(self.pivots)}
         self._complement = None
+        self._complement_at = None
 
     @staticmethod
     def from_vectors(field, ambient, vectors):
-        """The span of sparse rows or dense lists."""
+        """The span of sparse rows."""
         sb = SpanBuilder(field, ambient)
         for v in vectors:
             sb.insert(v)
@@ -224,11 +196,11 @@ class Subspace:
         return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows)))
 
     def _split(self, vec):
-        """(coordinates by row index, residual) of a sparse row or dense
-        list: a reduced echelon row is zero at the other pivots, so vec's
+        """(coordinates by row index, residual) of a sparse row, both sparse
+        rows: a reduced echelon row is zero at the other pivots, so vec's
         coordinate on each row is its entry at that row's pivot, and only the
         rows at vec's own pivot columns are subtracted, in pivot order."""
-        v = _sparse(vec)
+        v = dict(vec)
         row_at = self._row_at
         coords = {row_at[j]: c for j, c in v.items() if j in row_at}
         for i in sorted(coords):
@@ -244,24 +216,27 @@ class Subspace:
         return not self.reduce(vec)
 
     def coords(self, vec):
-        """Coordinates of vec in the echelon basis; raises if not a member."""
+        """Coordinates of vec in the echelon basis, as a sparse row keyed by
+        row index; raises if not a member."""
         coords, resid = self._split(vec)
         if resid:
             raise ValueError("vector not contained in subspace")
-        z = self.field.zero
-        return [coords.get(i, z) for i in range(self.dim)]
+        return coords
 
     def complement_indices(self):
-        """The non-pivot columns in increasing order, as a tuple built once."""
+        """The non-pivot columns in increasing order, as a tuple built once
+        with the map from each of them to its position."""
         if self._complement is None:
             self._complement = tuple(j for j in range(self.ambient) if j not in self._row_at)
+            self._complement_at = {j: k for k, j in enumerate(self._complement)}
         return self._complement
 
     def quotient_coords(self, vec):
-        """Coordinates of vec modulo the subspace, on the complement indices."""
-        resid = self.reduce(vec)
-        z = self.field.zero
-        return [resid.get(j, z) for j in self.complement_indices()]
+        """Coordinates of vec modulo the subspace, as a sparse row keyed by
+        position in the complement indices."""
+        self.complement_indices()
+        at = self._complement_at
+        return {at[j]: c for j, c in self.reduce(vec).items()}
 
     def as_mat(self):
         """The echelon basis as the rows of a matrix (sharing the rows)."""
@@ -317,9 +292,9 @@ class SpanBuilder:
         return len(self._rows)
 
     def insert(self, vec):
-        """Add a sparse row (column -> scalar) or a dense list to the span,
-        leaving it unchanged; True when the span grew."""
-        row = _sparse(vec)
+        """Add a sparse row (column -> nonzero scalar) to the span, leaving
+        the row unchanged; True when the span grew."""
+        row = dict(vec)
         rows = self._rows
         while row:
             lead = min(row)
@@ -371,21 +346,15 @@ def image(m):
 
 
 def solve(m, b):
-    """One solution of Mx = b, or None when the system is inconsistent."""
-    aug = []
-    for row, bv in zip(m.sparse_rows, b):
-        row = dict(row)
-        if not bv._is0:
-            row[m.cols] = bv
-        aug.append(row)
+    """One solution of Mx = b for a sparse row b, as a sparse row with the
+    free variables at zero, or None when the system is inconsistent."""
+    aug = [dict(row) for row in m.sparse_rows]
+    for i, bv in b.items():
+        aug[i][m.cols] = bv
     rows, pivots = rref_rows(aug, m.field, m.cols + 1)
     if pivots and pivots[-1] == m.cols:
         return None
-    z = m.field.zero
-    x = [z] * m.cols
-    for row, p in zip(rows, pivots):
-        x[p] = row.get(m.cols, z)
-    return x
+    return {p: row[m.cols] for row, p in zip(rows, pivots) if m.cols in row}
 
 
 def kronecker(a, b):
@@ -419,7 +388,7 @@ def kronecker(a, b):
 def restrict_operator(t, w):
     """Matrix of t on the basis of the invariant subspace w (raises otherwise)."""
     cols = [w.coords(img) for img in (w.as_mat() * t.transpose()).sparse_rows]
-    return Mat.from_rows(t.field, cols).transpose()
+    return Mat(t.field, w.dim, w.dim, cols).transpose()
 
 
 def quotient_operator(t, w):
@@ -427,7 +396,7 @@ def quotient_operator(t, w):
     restrict_operator(t, w)  # raises unless w is invariant, so the quotient action is well defined
     tt = t.transpose().sparse_rows
     cols = [w.quotient_coords(tt[j]) for j in w.complement_indices()]
-    return Mat.from_rows(t.field, cols).transpose()
+    return Mat(t.field, len(cols), len(cols), cols).transpose()
 
 
 def invert(m):

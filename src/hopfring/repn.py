@@ -165,8 +165,8 @@ def simple_S(i, j, H):
     acts = {
         "a": Mat.zeros(f, 1, 1),
         "d": Mat.zeros(f, 1, 1),
-        "b": Mat.from_rows(f, [[f.q_pow(i)]]),
-        "c": Mat.from_rows(f, [[f.q_pow(j)]]),
+        "b": Mat(f, 1, 1, [{0: f.q_pow(i)}]),
+        "c": Mat(f, 1, 1, [{0: f.q_pow(j)}]),
     }
     return Module(H, acts, label=Label("S", i % n, j % n), weights=[(i % n, j % n)])
 
@@ -183,14 +183,15 @@ def module_from_vectors(H, vectors, label=None):
             raise ModuleError("generating vectors are dependent")
     sub = span.to_subspace()
     weights = [_left_weight(H, v) for v in vectors]
+    d = sub.dim
     # coordinates of g*v_k in the chosen basis, through the echelon coordinates
-    cob = Mat.from_rows(H.field, [sub.coords(v.as_row()) for v in vectors]).transpose()
+    cob = Mat(H.field, d, d, [sub.coords(v.as_row()) for v in vectors]).transpose()
     cobinv = invert(cob)
     acts = {}
     for name in H.letters:
         g = H.gen(name)
-        cols = [cobinv.apply(sub.coords((g * v).as_row())) for v in vectors]
-        acts[name] = Mat.from_rows(H.field, cols).transpose()
+        cols = [sub.coords((g * v).as_row()) for v in vectors]
+        acts[name] = cobinv * Mat(H.field, d, d, cols).transpose()
     return Module(H, acts, label=label, weights=weights)
 
 
@@ -404,7 +405,7 @@ def hom_dim(M, N):
                 for qi, q in enumerate(colsM):
                     row = {}
                     if tgt_block is not None:
-                        _, trows, tcols, toff = tgt_block
+                        _, _, tcols, toff = tgt_block
                         for ri, r in enumerate(tcols):
                             cme = AM[r].get(q)
                             if cme is not None:
@@ -427,7 +428,7 @@ def hom_dim(M, N):
         mats = []
         for kv in ker.rows:
             rows = [{} for _ in range(Nw.dim)]
-            for w, rowsN, colsM, off in blocks:
+            for _, rowsN, colsM, off in blocks:
                 for pi, p in enumerate(rowsN):
                     for qi, q in enumerate(colsM):
                         c = kv.get(off + pi * len(colsM) + qi)
@@ -546,16 +547,16 @@ def spin_module(H, seeds, label=None):
     for name, op, sh in zip(H.letters, cols, shifts):
         columns = []
         for w, img in zip(weights, (basis * op).sparse_rows):
-            col = [f.zero] * len(weights)
+            col = {}
             if img:
                 w2 = ((w[0] + sh[0]) % n, (w[1] + sh[1]) % n)
                 try:
                     coords = subs[w2].coords(img)
                 except ValueError:
                     raise ModuleError("the span is not invariant under %s at weight %r" % (name, w))
-                col[offset[w2]:offset[w2] + len(coords)] = coords
+                col = {offset[w2] + i: c for i, c in coords.items()}
             columns.append(col)
-        acts[name] = Mat.from_rows(f, columns).transpose()
+        acts[name] = Mat(f, k, k, columns).transpose()
     return Module(H, acts, label=label, weights=weights)
 
 
@@ -771,51 +772,51 @@ def _split_summands(E, simples):
     top_acts = {name: quotient_operator(E.acts[name], je) for name in E.acts}
     top_mod = Module(H, top_acts, check=False)
     comp = je.complement_indices()
+    k = len(comp)
+    at = {c: i for i, c in enumerate(comp)}
     # h: E -> V descending to the top, paired against f: V -> top
     g_E = hom_dim(E, V).intertwiners()
-    g_top = [Mat.from_rows(f, [[g[r, c] for c in comp] for r in range(V.dim)]) for g in g_E]
+    g_top = [
+        Mat(f, V.dim, k, [{at[c]: v for c, v in row.items() if c in at} for row in g.sparse_rows])
+        for g in g_E
+    ]
     f_top = hom_dim(V, top_mod).intertwiners()
     m = len(f_top)
     if len(g_top) != m or m == 0:
         raise ModuleError("top Hom spaces are unbalanced")
     pairing = []
     for g in g_top:
-        row = []
-        for ft in f_top:
+        row = {}
+        for col, ft in enumerate(f_top):
             comp_mat = g * ft
             lam = comp_mat[0, 0]
             if comp_mat != Mat.identity(f, V.dim).scale(lam):
                 raise ModuleError("composite endomorphism of a simple is not scalar")
-            row.append(lam)
+            if not lam._is0:
+                row[col] = lam
         pairing.append(row)
-    pm_inv = invert(Mat.from_rows(f, pairing))
+    pm_inv = invert(Mat(f, m, m, pairing))
     # h_1 := sum_j inv[0][j] g_top[j] satisfies h_1 f_k = delta(1, k)
     h1 = None
-    for jdx in range(m):
-        c = pm_inv[0, jdx]
-        if c.is_zero():
-            continue
+    for jdx, c in pm_inv.sparse_rows[0].items():
         term = g_top[jdx].scale(c)
         h1 = term if h1 is None else h1 + term
     e_top = f_top[0] * h1  # primitive idempotent of End(top)
     # solve for an endomorphism of E whose top action is e_top
     end_basis = hom_dim(E, E).intertwiners()
+    # unknown: the coefficient of each eta; equation (r, c) at r * k + c
     cols = []
     for eta in end_basis:
         etat = eta.transpose().sparse_rows
         qcols = [je.quotient_coords(etat[c]) for c in comp]
-        cols.append(
-            [qcols[cc][rr] for rr in range(len(comp)) for cc in range(len(comp))]
-        )
-    target = [e_top[r, c] for r in range(len(comp)) for c in range(len(comp))]
-    x = solve(Mat.from_rows(f, cols).transpose(), target)
+        cols.append({r * k + cc: v for cc, qc in enumerate(qcols) for r, v in qc.items()})
+    target = {r * k + c: v for r, row in enumerate(e_top.sparse_rows) for c, v in row.items()}
+    x = solve(Mat(f, len(end_basis), k * k, cols).transpose(), target)
     if x is None:
         raise ModuleError("top projection does not lift to an endomorphism")
     eta = None
-    for coeff, base in zip(x, end_basis):
-        if coeff.is_zero():
-            continue
-        term = base.scale(coeff)
+    for idx, coeff in x.items():
+        term = end_basis[idx].scale(coeff)
         eta = term if eta is None else eta + term
     eye = Mat.identity(f, E.dim)
     for _ in range(16):
@@ -995,9 +996,8 @@ def conjugated_module(M, seed):
     f = H.field
     d = M.dim
     while True:
-        p = Mat.from_rows(
-            f, [[f.from_int(rng.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
-        )
+        draws = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        p = Mat(f, d, d, [{j: f.from_int(v) for j, v in enumerate(r) if v} for r in draws])
         try:
             pinv = invert(p)
             break

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .algebra import AlgElt
 from .cyclo import RAT
-from .fdalg import TableAlgebra, trace_form
+from .fdalg import TableAlgebra, _form_matrix, trace_form
 from .hopf import hopf_maps
-from .linalg import Mat, SpanBuilder, Subspace, invert as _invert, kernel_basis
+from .linalg import Mat, SpanBuilder, Subspace, _add_scaled, invert as _invert, kernel_basis
 
 __all__ = [
     "jacobson_radical",
@@ -54,10 +54,9 @@ def jacobson_radical(H):
     for grade, monos in classes.items():
         ng = ((n - grade[0]) % n, (n - grade[1]) % n)
         partners = classes.get(ng, [])
-        # one row per partner v, one column per u in monos (built by columns,
-        # so the shape holds with no partners)
-        cols = [[form(u, v) for v in partners] for u in monos]
-        for kv in kernel_basis(Mat.from_rows(field, cols).transpose()).rows:
+        # one row per partner v, one column per u in monos
+        gram = _form_matrix(field, form, monos, partners).transpose()
+        for kv in kernel_basis(gram).rows:
             vectors.append({H.index[monos[k]]: c for k, c in kv.items()})
     H._radical = Subspace.from_vectors(field, H.dim, vectors)
     return H._radical
@@ -320,13 +319,11 @@ def center_subspace(H):
 def center_table_algebra(H, Z):
     """The center as an abstract commutative algebra on its echelon basis."""
     elts = [_vector_to_elt(H, row) for row in Z.rows]
-    field = H.field
 
     def product(i, j):
         return Z.coords((elts[i] * elts[j]).as_row())
 
-    unit = Z.coords(H.one.as_row())
-    return TableAlgebra(field, Z.dim, product, unit=unit), elts
+    return TableAlgebra(H.field, Z.dim, product, unit=Z.coords(H.one.as_row()))
 
 
 def _central_idempotents_H0(H):
@@ -343,7 +340,7 @@ def _central_idempotents_H0(H):
 def center_and_blocks(H):
     """Center dimension, number of blocks, and the central idempotent census."""
     Z = center_subspace(H)
-    zalg, zelts = center_table_algebra(H, Z)
+    zalg = center_table_algebra(H, Z)
     radZ = zalg.radical()
     report = {
         "family": H.spec.family,
@@ -429,18 +426,20 @@ def blocks_isomorphic_H0(H):
         for _, x in basis_elts:
             if ei * x != x or x * ei != x:
                 unit_ok = False
-        # change of basis from the canonical echelon rows to the labeled basis
-        cols = [span.coords(x.as_row()) for (_, x) in basis_elts]
-        cob = Mat.from_rows(H.field, cols).transpose()
+        # change of basis from the canonical echelon rows to the labeled
+        # basis: echelon coordinate e contributes row e of the inverse of the
+        # matrix whose rows are the labeled elements' echelon coordinates
+        coords = [span.coords(x.as_row()) for (_, x) in basis_elts]
+        to_labels = _invert(Mat(H.field, span.dim, span.dim, coords)).sparse_rows
         labels = [lab for lab, _ in basis_elts]
-        sol = _invert(cob)
         table = {}
-        for idx1, (lab1, x1) in enumerate(basis_elts):
+        for lab1, x1 in basis_elts:
             for lab2, x2 in basis_elts:
-                ecoords = span.coords((x1 * x2).as_row())
-                lcoords = sol.apply(ecoords)
+                lcoords = {}
+                for e, c in span.coords((x1 * x2).as_row()).items():
+                    _add_scaled(lcoords, c, to_labels[e])
                 table[(lab1, lab2)] = tuple(
-                    (labels[r], c.serialize()) for r, c in enumerate(lcoords) if not c.is_zero()
+                    (labels[r], lcoords[r].serialize()) for r in sorted(lcoords)
                 )
         tables.append(table)
     all_equal = all(tables[i] == tables[0] for i in range(1, n))

@@ -34,6 +34,8 @@ COMMANDS = (
     + ["modules list --family hpq --p 1 --n %d" % n for n in (3, 4)]
     + ["export --what modules --family hpq --p 1 --n 4",
        "algebra verify --family hpq --p 1 --n 4"]
+    + ["verify blocks --family hpq --p 0 --n 3",
+       "algebra verify --family hpq --p 0 --n 3"]
 )
 
 

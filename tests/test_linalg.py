@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfring.cyclo import cyclo_field
-from hopfring.fdalg import trace_form
+from hopfring.fdalg import TableAlgebra, trace_form
 from hopfring.linalg import (
     Mat,
     _add_scaled,
@@ -23,13 +23,38 @@ from hopfring.linalg import (
 F3 = cyclo_field(3)
 
 
+# -- dense references: the library takes and returns sparse rows only ----------
+
+
 def dense_row(F, row, n):
     """A sparse row (column -> scalar) as a dense list of length n."""
     return [row.get(j, F.zero) for j in range(n)]
 
 
+def sparse_row(vec):
+    """A dense list as a sparse row, with no stored zero."""
+    return {j: c for j, c in enumerate(vec) if not c.is_zero()}
+
+
+def mat_from_rows(F, data):
+    """The matrix with the given dense rows."""
+    cols = len(data[0]) if data else 0
+    assert all(len(r) == cols for r in data)
+    return Mat(F, len(data), cols, [sparse_row(r) for r in data])
+
+
+def dense(m):
+    """The entries of m as dense rows, read through indexing."""
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def apply(m, vec):
+    """m times the dense column vector vec, as a dense list."""
+    return [sum((x * v for x, v in zip(r, vec)), m.field.zero) for r in dense(m)]
+
+
 def rand_mat(field, rows, cols, rng):
-    return Mat.from_rows(
+    return mat_from_rows(
         field, [[field.random(rng, 4, 2) for _ in range(cols)] for _ in range(rows)]
     )
 
@@ -56,11 +81,39 @@ def _dense_rref(vectors, ncols):
     return rows, pivots
 
 
+def _dense_split(rows, pivots, vec):
+    """Coordinates and residual of vec against dense reduced echelon rows:
+    each row in turn is subtracted, scaled by vec's entry at its pivot."""
+    v = list(vec)
+    coords = []
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        coords.append(f)
+        v = [x - f * y for x, y in zip(v, row)]
+    return coords, v
+
+
+def _dense_solve(F, m, b):
+    """The solution of mx = b with the free variables at zero, by the
+    reference elimination of the augmented rows; None when inconsistent."""
+    rows, pivots = _dense_rref([r + [bv] for r, bv in zip(dense(m), b)], m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [F.zero] * m.cols
+    for r, p in zip(rows, pivots):
+        x[p] = r[m.cols]
+    return x
+
+
 def _ref_span(F, vectors, ncols):
-    """The span of vectors as a Subspace on the reference echelon rows."""
+    """The span of dense vectors as a Subspace on the reference echelon rows."""
     rows, pivots = _dense_rref(vectors, ncols)
-    sparse = [{j: c for j, c in enumerate(r) if not c.is_zero()} for r in rows]
-    return Subspace(F, ncols, sparse, pivots)
+    return Subspace(F, ncols, [sparse_row(r) for r in rows], pivots)
+
+
+def _span(F, vectors, ncols):
+    """The span of dense vectors by the library, through their sparse rows."""
+    return Subspace.from_vectors(F, ncols, [sparse_row(v) for v in vectors])
 
 
 def rank(m):
@@ -76,11 +129,11 @@ def test_kernel_of_zero_and_identity():
 
 def test_kernel_of_singular_cyclotomic_matrix():
     q = F3.q
-    m = Mat.from_rows(F3, [[F3.one, q], [q * q, F3.one]])
+    m = mat_from_rows(F3, [[F3.one, q], [q * q, F3.one]])
     ker = kernel_basis(m)
     assert ker.dim == 1
     v = dense_row(F3, ker.rows[0], m.cols)
-    assert all(c.is_zero() for c in m.apply(v))
+    assert all(c.is_zero() for c in apply(m, v))
 
 
 def test_rank_nullity_randomized():
@@ -97,7 +150,43 @@ def test_kernel_vectors_annihilate():
     for _ in range(20):
         m = rand_mat(F3, 3, 5, rng)
         for row in kernel_basis(m).rows:
-            assert all(x.is_zero() for x in m.apply(dense_row(F3, row, 5)))
+            assert all(x.is_zero() for x in apply(m, dense_row(F3, row, 5)))
+
+
+def _truncated_polynomials():
+    """Q(zeta_3)[t] / (t^3) on the basis 1, t, t^2."""
+    return TableAlgebra(F3, 3, lambda i, j: {i + j: F3.one} if i + j < 3 else {})
+
+
+def test_dense_lists_are_rejected():
+    # the sparse row is the only vector form: a dense list is a TypeError,
+    # not a vector read some other way
+    vec = [F3.zero, F3.q, F3.one]
+    with pytest.raises(TypeError):
+        SpanBuilder(F3, 3).insert(vec)
+    with pytest.raises(TypeError):
+        Subspace.from_vectors(F3, 3, [vec])
+    alg = _truncated_polynomials()
+    with pytest.raises(TypeError):
+        alg.mul_vec(vec, {0: F3.one})
+    with pytest.raises(TypeError):
+        alg.mul_vec({0: F3.one}, vec)
+    assert alg.mul_vec({1: F3.one}, {1: F3.q}) == {2: F3.q}
+    assert alg.mul_vec({1: F3.one}, {2: F3.q}) == {}
+
+
+def test_table_algebra_idempotents_and_orthogonality():
+    # upper triangular 2 x 2 matrices on the basis e11, e12, e22
+    one = F3.one
+    table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 2): {1: one}, (2, 2): {2: one}}
+    alg = TableAlgebra(F3, 3, lambda i, j: table.get((i, j), {}))
+    e11, e12, e22 = {0: one}, {1: one}, {2: one}
+    for e in (e11, e22, {0: one, 2: one}, {0: one, 1: F3.q}, {}):
+        assert alg.is_idempotent(e)
+    assert not alg.is_idempotent({0: F3.from_int(2)}) and not alg.is_idempotent(e12)
+    assert alg.orthogonal(e11, e22) and alg.orthogonal(e12, e12)
+    # e12 e11 = 0 but e11 e12 = e12
+    assert not alg.orthogonal(e12, e11) and not alg.orthogonal(e11, e12)
 
 
 def test_kronecker_identities():
@@ -138,7 +227,7 @@ def test_trace_form_of_cyclotomic_field_is_nondegenerate():
     one = F3.one
     table = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: -one, 1: -one}}
     form = trace_form(F3, [0, 1], lambda u, v: table[(u, v)])
-    gram = Mat.from_rows(F3, [[form(i, j) for j in range(2)] for i in range(2)])
+    gram = mat_from_rows(F3, [[form(i, j) for j in range(2)] for i in range(2)])
     assert gram[0, 0] == F3.from_int(2)
     assert gram[0, 1] == gram[1, 0] == -one
     assert gram[1, 1] == -one
@@ -150,17 +239,18 @@ def test_solve_particular_and_kernel():
     for _ in range(20):
         m = rand_mat(F3, 3, 4, rng)
         x0 = [F3.random(rng) for _ in range(4)]
-        b = m.apply(x0)
-        x = solve(m, b)
+        b = apply(m, x0)
+        x = solve(m, sparse_row(b))
         assert x is not None
-        assert m.apply(x) == b
+        x = dense_row(F3, x, 4)
+        assert apply(m, x) == b
         # x0 - x lies in the kernel
-        assert kernel_basis(m).contains([u - v for u, v in zip(x0, x)])
+        assert kernel_basis(m).contains(sparse_row([u - v for u, v in zip(x0, x)]))
 
 
 def test_solve_inconsistent():
     m = Mat.zeros(F3, 2, 2)
-    assert solve(m, [F3.one, F3.zero]) is None
+    assert solve(m, {0: F3.one}) is None
 
 
 def test_image_dimension():
@@ -168,13 +258,13 @@ def test_image_dimension():
     m = rand_mat(F3, 4, 3, rng)
     assert image(m).dim == rank(m)
     for j in range(3):
-        assert image(m).contains([m[i, j] for i in range(m.rows)])
+        assert image(m).contains(sparse_row([m[i, j] for i in range(m.rows)]))
 
 
 def test_restriction_and_quotient_commute_with_inclusion():
     # T is block triangular, so span(e0, e1) is invariant
     q = F3.q
-    t = Mat.from_rows(
+    t = mat_from_rows(
         F3,
         [
             [F3.one, q, q * q],
@@ -182,13 +272,11 @@ def test_restriction_and_quotient_commute_with_inclusion():
             [F3.zero, F3.zero, q],
         ],
     )
-    w = Subspace.from_vectors(
-        F3, 3, [[F3.one, F3.zero, F3.zero], [F3.zero, F3.one, F3.zero]]
-    )
+    w = _span(F3, [[F3.one, F3.zero, F3.zero], [F3.zero, F3.one, F3.zero]], 3)
     r = restrict_operator(t, w)
     for row in w.rows:
-        img = t.apply(dense_row(F3, row, 3))
-        coords = w.coords(img)
+        img = apply(t, dense_row(F3, row, 3))
+        coords = dense_row(F3, w.coords(sparse_row(img)), w.dim)
         back = [F3.zero] * 3
         for c, brow in zip(coords, w.rows):
             for j in range(3):
@@ -201,8 +289,8 @@ def test_restriction_and_quotient_commute_with_inclusion():
 
 
 def test_restriction_rejects_noninvariant():
-    t = Mat.from_rows(F3, [[F3.zero, F3.one], [F3.one, F3.zero]])
-    w = Subspace.from_vectors(F3, 2, [[F3.one, F3.zero]])
+    t = mat_from_rows(F3, [[F3.zero, F3.one], [F3.one, F3.zero]])
+    w = _span(F3, [[F3.one, F3.zero]], 2)
     with pytest.raises(ValueError):
         restrict_operator(t, w)
 
@@ -210,7 +298,7 @@ def test_restriction_rejects_noninvariant():
 def test_subspace_canonical_under_shuffle():
     rng = random.Random(7)
     vecs = [[F3.random(rng) for _ in range(5)] for _ in range(3)]
-    s1 = Subspace.from_vectors(F3, 5, vecs)
+    s1 = _span(F3, vecs, 5)
     shuffled = list(vecs)
     rng.shuffle(shuffled)
     mixed = [
@@ -219,7 +307,7 @@ def test_subspace_canonical_under_shuffle():
         shuffled[2],
         [c * F3.q for c in shuffled[0]],
     ]
-    s2 = Subspace.from_vectors(F3, 5, mixed)
+    s2 = _span(F3, mixed, 5)
     assert s1 == s2
 
 
@@ -228,8 +316,8 @@ def test_span_builder_matches_batch():
     vecs = [[F3.random(rng) for _ in range(6)] for _ in range(8)]
     sb = SpanBuilder(F3, 6)
     for v in vecs:
-        sb.insert(v)
-    assert sb.to_subspace() == Subspace.from_vectors(F3, 6, vecs) == _ref_span(F3, vecs, 6)
+        sb.insert(sparse_row(v))
+    assert sb.to_subspace() == _span(F3, vecs, 6) == _ref_span(F3, vecs, 6)
 
 
 # -- property tests ------------------------------------------------------------
@@ -257,16 +345,11 @@ def fields_and_matrices(draw, max_rows=5, max_cols=6):
     cols = draw(st.integers(1, max_cols))
     mid = draw(st.integers(1, max(rows, cols)))
     elts = _elements(F)
-    a = Mat.from_rows(F, draw(st.lists(st.lists(elts, min_size=mid, max_size=mid),
+    a = mat_from_rows(F, draw(st.lists(st.lists(elts, min_size=mid, max_size=mid),
                                        min_size=rows, max_size=rows)))
-    b = Mat.from_rows(F, draw(st.lists(st.lists(elts, min_size=cols, max_size=cols),
+    b = mat_from_rows(F, draw(st.lists(st.lists(elts, min_size=cols, max_size=cols),
                                        min_size=mid, max_size=mid)))
     return F, a * b
-
-
-def dense(m):
-    """The entries of m as dense rows, read through indexing."""
-    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _combine(F, coeffs, vectors, ncols):
@@ -283,7 +366,7 @@ def test_rank_nullity_property(fm):
     ker = kernel_basis(m)
     assert rank(m) + ker.dim == m.cols
     for row in ker.rows:
-        assert all(x.is_zero() for x in m.apply(dense_row(F, row, m.cols)))
+        assert all(x.is_zero() for x in apply(m, dense_row(F, row, m.cols)))
 
 
 @PROPS
@@ -291,7 +374,7 @@ def test_rank_nullity_property(fm):
 def test_from_vectors_invariant_under_row_operations(fm, rng):
     F, m = fm
     vecs = dense(m)
-    s1 = Subspace.from_vectors(F, m.cols, vecs)
+    s1 = _span(F, vecs, m.cols)
     mixed = list(vecs)
     rng.shuffle(mixed)
     units = [F.q_pow(rng.randrange(F.n)) * rng.choice([1, -2, 3]) for _ in mixed]
@@ -299,7 +382,7 @@ def test_from_vectors_invariant_under_row_operations(fm, rng):
     for i in range(1, len(mixed)):
         mixed[i] = [x + F.q * y for x, y in zip(mixed[i], mixed[i - 1])]
     mixed.append(_combine(F, [F.one] * len(vecs), vecs, m.cols))
-    assert Subspace.from_vectors(F, m.cols, mixed) == s1
+    assert _span(F, mixed, m.cols) == s1
     assert s1 == _ref_span(F, vecs, m.cols)
 
 
@@ -312,7 +395,7 @@ def test_span_builder_any_insertion_order(fm, rng):
     order = list(vecs)
     rng.shuffle(order)
     sb = SpanBuilder(F, m.cols)
-    grew = [sb.insert(v) for v in order]
+    grew = [sb.insert(sparse_row(v)) for v in order]
     assert sum(grew) == batch.dim
     assert sb.to_subspace() == batch
 
@@ -321,21 +404,41 @@ def test_span_builder_any_insertion_order(fm, rng):
 @given(fields_and_matrices(), st.data())
 def test_coords_rebuild_and_reduce_detects_membership(fm, data):
     F, m = fm
-    span = Subspace.from_vectors(F, m.cols, dense(m))
+    span = _span(F, dense(m), m.cols)
     elts = _elements(F)
     coeffs = data.draw(st.lists(elts, min_size=m.rows, max_size=m.rows))
     inside = _combine(F, coeffs, dense(m), m.cols)
-    coords = span.coords(inside)
+    coords = span.coords(sparse_row(inside))
     rows = [dense_row(F, r, m.cols) for r in span.rows]
-    assert _combine(F, coords, rows, m.cols) == inside
-    assert span.reduce(inside) == {}
+    assert _combine(F, dense_row(F, coords, span.dim), rows, m.cols) == inside
+    assert span.reduce(sparse_row(inside)) == {}
     other = data.draw(st.lists(elts, min_size=m.cols, max_size=m.cols))
-    contained = rank(Mat.from_rows(F, dense(m) + [other])) == span.dim
-    assert (span.reduce(other) == {}) == contained
-    assert span.contains(other) == contained
+    contained = rank(mat_from_rows(F, dense(m) + [other])) == span.dim
+    assert (span.reduce(sparse_row(other)) == {}) == contained
+    assert span.contains(sparse_row(other)) == contained
     if not contained:
         with pytest.raises(ValueError):
-            span.coords(other)
+            span.coords(sparse_row(other))
+    # coordinates, quotient coordinates and solutions against the dense
+    # references, each a sparse row with no stored zero
+    ref_rows, ref_pivots = _dense_rref(dense(m), m.cols)
+    comp = [j for j in range(m.cols) if j not in ref_pivots]
+    for vec in (inside, other):
+        ref_coords, resid = _dense_split(ref_rows, ref_pivots, vec)
+        quotient = span.quotient_coords(sparse_row(vec))
+        assert quotient == sparse_row([resid[j] for j in comp])
+        assert all(not c.is_zero() for c in quotient.values())
+        if vec is inside:
+            assert coords == sparse_row(ref_coords)
+            assert all(not c.is_zero() for c in coords.values())
+    x0 = data.draw(st.lists(elts, min_size=m.cols, max_size=m.cols))
+    b_other = data.draw(st.lists(elts, min_size=m.rows, max_size=m.rows))
+    for b in (apply(m, x0), b_other):
+        x, ref = solve(m, sparse_row(b)), _dense_solve(F, m, b)
+        assert (x is None) == (ref is None)
+        if x is not None:
+            assert x == sparse_row(ref)
+            assert all(not c.is_zero() for c in x.values())
 
 
 @PROPS
@@ -344,13 +447,13 @@ def test_solve_none_exactly_when_inconsistent(fm, data):
     F, m = fm
     b = data.draw(st.one_of(
         st.lists(_elements(F), min_size=m.rows, max_size=m.rows),
-        st.lists(_elements(F), min_size=m.cols, max_size=m.cols).map(m.apply),
+        st.lists(_elements(F), min_size=m.cols, max_size=m.cols).map(lambda x: apply(m, x)),
     ))
-    aug = Mat.from_rows(F, [r + [bv] for r, bv in zip(dense(m), b)])
-    x = solve(m, b)
+    aug = mat_from_rows(F, [r + [bv] for r, bv in zip(dense(m), b)])
+    x = solve(m, sparse_row(b))
     assert (x is None) == (rank(aug) > rank(m))
     if x is not None:
-        assert m.apply(x) == b
+        assert apply(m, dense_row(F, x, m.cols)) == b
 
 
 @PROPS
@@ -358,7 +461,7 @@ def test_solve_none_exactly_when_inconsistent(fm, data):
 def test_invert_is_two_sided_inverse(fm):
     F, m = fm
     k = min(m.rows, m.cols)
-    sq = Mat.from_rows(F, [r[:k] for r in dense(m)[:k]])
+    sq = mat_from_rows(F, [r[:k] for r in dense(m)[:k]])
     if rank(sq) < sq.rows:
         with pytest.raises(ValueError):
             invert(sq)
@@ -410,7 +513,7 @@ def test_sparse_arithmetic_matches_dense(fm, data):
     other = _draw_matrix(data, F, r, c)
     k = data.draw(st.integers(1, 4))
     right = _draw_matrix(data, F, c, k)
-    om, rm = Mat.from_rows(F, other), Mat.from_rows(F, right)
+    om, rm = mat_from_rows(F, other), mat_from_rows(F, right)
     assert dense(om) == other and dense(rm) == right
     results = {
         "+": (m + om, [[x + y for x, y in zip(a, b)] for a, b in zip(dm, other)]),
@@ -427,7 +530,11 @@ def test_sparse_arithmetic_matches_dense(fm, data):
     _no_stored_zeros(m.scale(F.zero))
     assert m.scale(F.zero) == Mat.zeros(F, r, c)
     vec = data.draw(st.lists(_elements(F), min_size=c, max_size=c))
-    assert m.apply(vec) == [sum((x * v for x, v in zip(a, vec)), F.zero) for a in dm]
+    column = m * mat_from_rows(F, [[v] for v in vec])
+    _no_stored_zeros(column)
+    assert [column[i, 0] for i in range(r)] == [
+        sum((x * v for x, v in zip(a, vec)), F.zero) for a in dm
+    ]
     assert m.trace() == sum((dm[i][i] for i in range(min(r, c))), F.zero)
     assert m.to_json() == {
         "rows": r, "cols": c, "entries": [[x.serialize() for x in a] for a in dm],
@@ -448,7 +555,7 @@ def test_kronecker_with_an_identity_factor_given_by_size(fm, d):
 @given(fields_and_matrices(), st.data())
 def test_equality_and_hash_follow_the_entries(fm, data):
     F, m = fm
-    same = Mat.from_rows(F, dense(m))
+    same = mat_from_rows(F, dense(m))
     assert same == m and hash(same) == hash(m)
     # a sum that cancels leaves no zero behind, so it equals the zero matrix
     diff = m - same
@@ -460,11 +567,11 @@ def test_equality_and_hash_follow_the_entries(fm, data):
     j = data.draw(st.integers(0, m.cols - 1))
     bumped = dense(m)
     bumped[i][j] = bumped[i][j] + F.one
-    assert Mat.from_rows(F, bumped) != m
+    assert mat_from_rows(F, bumped) != m
     assert m != Mat.zeros(F, m.rows, m.cols + 1)
 
 
-# -- the incremental span on sparse and dense rows -------------------------------
+# -- the incremental span on sparse rows ------------------------------------------
 
 AMBIENT = 5
 
@@ -485,7 +592,8 @@ def _span_steps(F):
 
 
 def _span_builder_properties(F, steps):
-    sparse, dense = SpanBuilder(F, AMBIENT), SpanBuilder(F, AMBIENT)
+    # the second builder takes each row through the dense reference and back
+    sparse, roundtrip = SpanBuilder(F, AMBIENT), SpanBuilder(F, AMBIENT)
     made = []
     prefix = []
     rank_before = 0
@@ -504,11 +612,11 @@ def _span_builder_properties(F, steps):
         rank_before = rank_after
         vec_before, row_before = dict(vec), list(row)
         assert sparse.insert(vec) == grows
-        assert dense.insert(row) == grows
+        assert roundtrip.insert(sparse_row(row)) == grows
         # the caller's row is not modified
         assert vec == vec_before and row == row_before
     batch = _ref_span(F, prefix, AMBIENT)
-    for sb in (sparse, dense):
+    for sb in (sparse, roundtrip):
         assert sb.dim == batch.dim
         assert sb.to_subspace() == batch
         for lead, row in sb._rows.items():
@@ -534,18 +642,6 @@ def test_span_builder_grows_with_rank_n5(steps):
 # -- the sparse echelon rows of Subspace against dense references ---------------
 
 
-def _dense_split(rows, pivots, vec):
-    """Coordinates and residual of vec against dense reduced echelon rows:
-    each row in turn is subtracted, scaled by vec's entry at its pivot."""
-    v = list(vec)
-    coords = []
-    for row, p in zip(rows, pivots):
-        f = v[p]
-        coords.append(f)
-        v = [x - f * y for x, y in zip(v, row)]
-    return coords, v
-
-
 @PROPS
 @given(fields_and_matrices(), st.data())
 def test_subspace_rows_are_the_sparse_rref(fm, data):
@@ -557,14 +653,15 @@ def test_subspace_rows_are_the_sparse_rref(fm, data):
     assert [dense_row(F, r, m.cols) for r in rows] == ref_rows
     for row in rows:
         assert all(0 <= j < m.cols and not c.is_zero() for j, c in row.items())
-    # sparse and dense inputs mixed, built through SpanBuilder
+    # the matrix's own rows and rows rebuilt from the dense reference, mixed
     half = data.draw(st.integers(0, m.rows))
-    span = Subspace.from_vectors(F, m.cols, m.sparse_rows[:half] + vecs[half:])
+    rebuilt = [sparse_row(v) for v in vecs[half:]]
+    span = Subspace.from_vectors(F, m.cols, m.sparse_rows[:half] + rebuilt)
     assert span.pivots == tuple(ref_pivots)
     assert [dense_row(F, r, m.cols) for r in span.rows] == ref_rows
     for row in span.rows:
         assert all(0 <= j < m.cols and not c.is_zero() for j, c in row.items())
-    same = Subspace.from_vectors(F, m.cols, vecs[::-1])
+    same = _span(F, vecs[::-1], m.cols)
     assert same == span and hash(same) == hash(span)
     assert span.to_json()["basis"] == [[c.serialize() for c in r] for r in ref_rows]
     elts = _elements(F)
@@ -572,16 +669,17 @@ def test_subspace_rows_are_the_sparse_rref(fm, data):
     other = data.draw(st.lists(elts, min_size=m.cols, max_size=m.cols))
     for vec in (_combine(F, coeffs, vecs, m.cols), other):
         coords, resid = _dense_split(ref_rows, ref_pivots, vec)
-        got = span.reduce(vec)
+        sv = sparse_row(vec)
+        got = span.reduce(sv)
         assert dense_row(F, got, m.cols) == resid
         assert all(not c.is_zero() for c in got.values())
-        assert span.reduce({j: c for j, c in enumerate(vec) if not c.is_zero()}) == got
+        assert sv == sparse_row(vec)  # the caller's row is not modified
         comp = [j for j in range(m.cols) if j not in ref_pivots]
-        assert span.quotient_coords(vec) == [resid[j] for j in comp]
+        assert span.quotient_coords(sv) == sparse_row([resid[j] for j in comp])
         inside = all(c.is_zero() for c in resid)
-        assert span.contains(vec) == inside
+        assert span.contains(sv) == inside
         if inside:
-            assert span.coords(vec) == coords
+            assert span.coords(sv) == sparse_row(coords)
         else:
             with pytest.raises(ValueError):
-                span.coords(vec)
+                span.coords(sv)

@@ -41,10 +41,7 @@ def _ungraded_radical(H):
     """The kernel of the trace form's Gram over all pairs of PBW monomials."""
 
     def product(i, j):
-        vec = [H.field.zero] * H.dim
-        for m, c in H.mono_mul(H.basis[i], H.basis[j]).items():
-            vec[H.index[m]] = c
-        return vec
+        return {H.index[m]: c for m, c in H.mono_mul(H.basis[i], H.basis[j]).items()}
 
     return TableAlgebra(H.field, H.dim, product).radical()
 
@@ -122,7 +119,7 @@ def test_loewy_semisimple_fixture():
         a1, b1 = divmod(i, n)
         a2, b2 = divmod(j, n)
         k = ((a1 + a2) % n) * n + ((b1 + b2) % n)
-        return [F.one if t == k else F.zero for t in range(n * n)]
+        return {k: F.one}
 
     kg = TableAlgebra(F, n * n, product)
     rad = kg.radical()
@@ -196,7 +193,7 @@ def test_radical_generators_span_j_as_right_ideal(n):
     assert 0 < len(G) < J.dim
     assert radical_ideal_generators(H) is G
     # G·H, from the products with every PBW monomial, as a canonical subspace
-    vecs = [(g * H.monomial(m)).as_vector() for g in G for m in H.basis]
+    vecs = [(g * H.monomial(m)).as_row() for g in G for m in H.basis]
     assert Subspace.from_vectors(H.field, H.dim, vecs) == J
 
 
