@@ -2,9 +2,12 @@
 
 The closed forms give every product of basis classes directly; the matrix
 oracle recomputes the same products by building the tensor module and
-decomposing it.  Ring presentations are verified by evaluating the
-relations inside the fusion ring and checking that the claimed monomial
-bases expand unimodularly over the standard basis.
+decomposing it.  Each ring presentation is data in ``PresentationSpec``:
+its generators as label combinations, its relations as named integer
+polynomials in them, and its normal monomials.  One evaluator computes
+every such polynomial inside the fusion ring; a presentation is verified
+by evaluating its relations there and checking that the normal monomials
+expand unimodularly over the standard basis.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import random
+from functools import reduce
 from math import comb
+from operator import add
 
-from .algebra import AlgebraSpec, _merge, _ratio, build_algebra
+from .algebra import AlgebraSpec, _ratio, build_algebra
 from .cyclo import RAT, cyclo_field
 from .fdalg import TableAlgebra
 from .labels import Label, basis_labels, format_combination, label_dim
@@ -260,12 +265,6 @@ class FusionTable:
                 _axpy(out, ca * cb, self.entries[(la, lb)])
         return out
 
-    def power(self, x, m):
-        out = {self.one: 1}
-        for _ in range(m):
-            out = self.mul(out, x)
-        return out
-
     def check_symmetric(self):
         for a in self.labels:
             for b in self.labels:
@@ -414,17 +413,6 @@ def _cover_poly(n, m):
     }
 
 
-def _deformed_relation_factors(n):
-    """Integer (x,y)-polynomials F1, F2 with F1*F2 the degree-(2n-1) relation.
-
-    F1 = sum (-1)^i n/(n-i) C(n-i, i) x^i y^(n-2i) - 2, the cover
-    polynomial at m = 0 minus 2, and F2 = V(n, 0) is the top simple class.
-    """
-    f1 = _cover_poly(n, 0)
-    _add(f1, (0, 0), -2)
-    return f1, _simple_poly(n)
-
-
 def _poly_mul(p1, p2):
     out = {}
     for (i1, m1), c1 in p1.items():
@@ -433,55 +421,74 @@ def _poly_mul(p1, p2):
     return out
 
 
-def _eval_xy_poly(table, poly, x, y):
-    """Evaluate an integer (x, y)-polynomial inside the fusion ring."""
-    out = {}
-    ymax = max((m for (_, m) in poly), default=0)
-    ypows = [{table.one: 1}]
-    for _ in range(ymax):
-        ypows.append(table.mul(ypows[-1], y))
-    xmax = max((i for (i, _) in poly), default=0)
-    xpows = [{table.one: 1}]
-    for _ in range(xmax):
-        xpows.append(table.mul(xpows[-1], x))
-    for (i, m), c in poly.items():
-        _axpy(out, c, table.mul(xpows[i], ypows[m]))
-    return out
+def _evaluator(table, gens):
+    """value(poly) in the fusion ring for an integer polynomial in gens, a
+    dict exponent tuple -> coefficient.  Each generator power is formed
+    once; a monomial is the product of its powers, left to right."""
+    one = {table.one: 1}
+    powers = [[one] for _ in gens]
+
+    def power(k, e):
+        pk = powers[k]
+        while len(pk) <= e:
+            pk.append(table.mul(pk[-1], gens[k]))
+        return pk[e]
+
+    def value(poly):
+        out = {}
+        for mono, c in poly.items():
+            factors = [power(k, e) for k, e in enumerate(mono) if e] or [one]
+            _axpy(out, c, reduce(table.mul, factors))
+        return out
+
+    return value
 
 
 class PresentationSpec:
-    """A quotient presentation with confluent rewrite rules and normal basis."""
+    """A class ring's generators (label combinations), its relations (named
+    integer polynomials in them), its normal monomials with a confluent
+    rewrite rule, and for H_n(1,q) the factors F1, F2 of its vanishing
+    relation (None for the basic families)."""
 
     def __init__(self, family, n):
         self.family = family
         self.n = n
+        self.factors = None
         if family in ("tensor_taft", "hpq0"):
-            self.variables = ("x", "y", "z")
+            x = Label("S", 1, 0) if family == "tensor_taft" else Label("S", 1, 1)
+            self.generators = [{x: 1}, {Label("S", 0, 1): 1}, {Label("P", 0, 0): 1}]
             self.normal_monomials = [
                 (i, j, e) for e in (0, 1) for i in range(n) for j in range(n)
             ]
             self.expected_rank = 2 * n * n
             if family == "tensor_taft":
-                self.z_square = {
-                    (i, j, 1): 1 for i in range(n) for j in range(n)
-                }
-                self.relations = ["x^n - 1", "y^n - 1", "z^2 - sum_ij x^i y^j z"]
+                # z^2 = sum_ij x^i y^j z
+                z_square = {(i, j, 1): 1 for i in range(n) for j in range(n)}
             else:
-                self.z_square = {(i, 0, 1): n for i in range(n)}
-                self.relations = ["x^n - 1", "y^n - 1", "z^2 - n sum_i x^i z"]
-            self._rule = (2, self.z_square)
+                # z^2 = n sum_i x^i z
+                z_square = {(i, 0, 1): n for i in range(n)}
+            self.relations = [
+                ("x^n - 1", {(n, 0, 0): 1, (0, 0, 0): -1}),
+                ("y^n - 1", {(0, n, 0): 1, (0, 0, 0): -1}),
+                ("z relation", _axpy({(0, 0, 2): 1}, -1, z_square)),
+            ]
+            self._rule = (2, z_square)
         elif family == "hpq1":
-            self.variables = ("x", "y")
+            self.generators = [{Label("V", 1, 1): 1}, {Label("V", 2, 0): 1}]
             self.normal_monomials = [
                 (l, m) for l in range(n) for m in range(2 * n - 1)
             ]
             self.expected_rank = n * (2 * n - 1)
-            f1, f2 = _deformed_relation_factors(n)
-            self.vanishing = _poly_mul(f1, f2)
-            self.factors = (f1, f2)
+            # F1 = sum (-1)^i n/(n-i) C(n-i, i) x^i y^(n-2i) - 2 is the cover
+            # polynomial at m = 0 minus 2; F2 = V(n, 0) is the top simple class
+            self.factors = (_axpy(_cover_poly(n, 0), -2, {(0, 0): 1}), _simple_poly(n))
+            vanishing = _poly_mul(*self.factors)
+            self.relations = [
+                ("x^n - 1", {(n, 0): 1, (0, 0): -1}),
+                ("vanishing relation", vanishing),
+            ]
             top = 2 * n - 1
-            self._rule = (top, {k: -v for k, v in self.vanishing.items() if k != (0, top)})
-            self.relations = ["x^n - 1", "(top-class relation of degree 2n-1)"]
+            self._rule = (top, {k: -v for k, v in vanishing.items() if k != (0, top)})
         else:
             raise FusionError("unknown family %r" % (family,))
         if len(self.normal_monomials) != self.expected_rank:
@@ -529,52 +536,23 @@ def verify_presentation(family, n, table=None, seed=0):
             {"reason": msg, "witness": witness}
         )
 
-    if family in ("tensor_taft", "hpq0"):
-        if family == "tensor_taft":
-            x = {Label("S", 1, 0): 1}
-            y = {Label("S", 0, 1): 1}
-        else:
-            x = {Label("S", 1, 1): 1}
-            y = {Label("S", 0, 1): 1}
-        z = {Label("P", 0, 0): 1}
-        one = {table.one: 1}
-        xn = table.power(x, n)
-        yn = table.power(y, n)
-        rel3 = table.mul(z, z)
-        for (i, j, e), c in pres.z_square.items():
-            _axpy(rel3, -c, table.mul(table.mul(table.power(x, i), table.power(y, j)), z))
-        checks = [("x^n - 1", xn == one), ("y^n - 1", yn == one), ("z relation", not rel3)]
-        monomial_images = []
-        for (i, j, e) in pres.normal_monomials:
-            img = table.mul(table.power(x, i), table.power(y, j))
-            if e:
-                img = table.mul(img, z)
-            monomial_images.append(img)
-    else:
-        x = {Label("V", 1, 1): 1}
-        y = {Label("V", 2, 0): 1}
-        one = {table.one: 1}
-        xn = table.power(x, n)
-        vanish = _eval_xy_poly(table, pres.vanishing, x, y)
-        f1 = _eval_xy_poly(table, pres.factors[0], x, y)
-        f2 = _eval_xy_poly(table, pres.factors[1], x, y)
-        prod = table.mul(f1, f2)
-        checks = [
-            ("x^n - 1", xn == one),
-            ("vanishing relation", not vanish),
-            ("factored form agrees", prod == vanish),
-        ]
-        monomial_images = []
-        for (l, m) in pres.normal_monomials:
-            img = table.mul(table.power(x, l), table.power(y, m))
-            monomial_images.append(img)
+    value = _evaluator(table, pres.generators)
+    relations = {name: value(poly) for name, poly in pres.relations}
+    checks = [(name, not rel) for name, rel in relations.items()]
+    if pres.factors:
+        f1, f2 = (value(f) for f in pres.factors)
+        checks.append(
+            ("factored form agrees", table.mul(f1, f2) == relations["vanishing relation"])
+        )
     for name, ok in checks:
         report["relations"].append({"relation": name, "holds": bool(ok)})
         if not ok:
             fail("relation fails", name)
     # basis check: integer change of basis must be unimodular
+    mono = pres.normal_monomials
+    images = {m: value({m: 1}) for m in mono}
     labs = table.labels
-    mat = [[img.get(lab, 0) for lab in labs] for img in monomial_images]
+    mat = [[img.get(lab, 0) for lab in labs] for img in images.values()]
     if len(mat) != len(labs):
         fail("normal basis has wrong cardinality", len(mat))
     det = _int_det(mat)
@@ -584,29 +562,20 @@ def verify_presentation(family, n, table=None, seed=0):
     # sampled homomorphism check through the rewrite engine: 200 seeded
     # pairs of normal monomials, drawn with replacement
     rng = random.Random(seed)
-    mono = pres.normal_monomials
     count = min(200, len(mono) * len(mono))
     mismatches = 0
     for _ in range(count):
         m1 = mono[rng.randrange(len(mono))]
         m2 = mono[rng.randrange(len(mono))]
-        prod_keys = pres.reduce({_mono_mul_key(m1, m2): 1})
         lhs = {}
-        for key, c in prod_keys.items():
-            _axpy(lhs, c, monomial_images[mono.index(key)])
-        rhs = table.mul(monomial_images[mono.index(m1)], monomial_images[mono.index(m2)])
-        if lhs != rhs:
+        for key, c in pres.reduce({tuple(map(add, m1, m2)): 1}).items():
+            _axpy(lhs, c, images[key])
+        if lhs != table.mul(images[m1], images[m2]):
             mismatches += 1
     if mismatches:
         fail("rewrite engine disagrees with the fusion ring", mismatches)
     report["iso_samples"] = count
     return report
-
-
-def _mono_mul_key(m1, m2):
-    if len(m1) == 3:
-        return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-    return (m1[0] + m2[0], m1[1] + m2[1])
 
 
 def _int_det(mat):
@@ -643,9 +612,9 @@ def identity_suite_H1(n, table=None):
     """Evaluates the tensor-power, translation and expansion identities."""
     if table is None:
         table = fusion_table("hpq1", n, "closed_form")
-    x = {Label("V", 1, 1): 1}
-    y = {Label("V", 2, 0): 1}
-    one = {table.one: 1}
+    pres = PresentationSpec("hpq1", n)
+    x, y = pres.generators
+    value = _evaluator(table, pres.generators)
     items = {}
 
     def record(name, ok, detail=None):
@@ -656,21 +625,17 @@ def identity_suite_H1(n, table=None):
     # tensor powers of the two-dimensional simple
     for m in range(2, n):
         rhs = {_vlabel(n, m + 1 - 2 * i, i): _ballot(m, i) for i in range(m // 2 + 1)}
-        record("tensor_power_m%d" % m, table.power(y, m) == rhs)
+        record("tensor_power_m%d" % m, value({(0, m): 1}) == rhs)
     # x has order n and translates every class
-    ok = table.power(x, n) == one
-    record("x_order", ok)
-    xp = [one]
-    for _ in range(n):
-        xp.append(table.mul(xp[-1], x))
+    record("x_order", value({(n, 0): 1}) == {table.one: 1})
     ok_v = all(
-        table.mul(xp[i], {_vlabel(n, m, 0): 1}) == {_vlabel(n, m, i % n): 1}
+        table.mul(value({(i, 0): 1}), {_vlabel(n, m, 0): 1}) == {_vlabel(n, m, i % n): 1}
         for m in range(1, n + 1)
         for i in range(n)
     )
     record("x_translates_simples", ok_v)
     ok_p = all(
-        table.mul(xp[i], {_plabel(n, m, 0): 1}) == {_plabel(n, m, i % n): 1}
+        table.mul(value({(i, 0): 1}), {_plabel(n, m, 0): 1}) == {_plabel(n, m, i % n): 1}
         for m in range(1, n)
         for i in range(n)
     )
@@ -679,35 +644,34 @@ def identity_suite_H1(n, table=None):
     vtop = {_vlabel(n, n, 0): 1}
     record(
         "y_times_top_simple",
-        table.mul(y, vtop) == table.mul(xp[1], {_plabel(n, n - 1, 0): 1}),
+        table.mul(y, vtop) == table.mul(x, {_plabel(n, n - 1, 0): 1}),
     )
     lhs = table.mul(y, {_plabel(n, 1, 0): 1})
-    rhs = _axpy({_plabel(n, 2, 0): 1}, 2, table.mul(xp[1], vtop))
+    rhs = _axpy({_plabel(n, 2, 0): 1}, 2, table.mul(x, vtop))
     record("y_times_first_cover", lhs == rhs)
     lhs = table.mul(y, {_plabel(n, n - 1, 0): 1})
-    rhs = _axpy({_vlabel(n, n, 0): 2}, 1, table.mul(xp[1], {_plabel(n, n - 2, 0): 1}))
+    rhs = _axpy({_vlabel(n, n, 0): 2}, 1, table.mul(x, {_plabel(n, n - 2, 0): 1}))
     record("y_times_last_cover", lhs == rhs)
     ok_mid = True
     for m in range(2, n - 1):
         lhs = table.mul(y, {_plabel(n, m, 0): 1})
-        rhs = _axpy({_plabel(n, m + 1, 0): 1}, 1, table.mul(xp[1], {_plabel(n, m - 1, 0): 1}))
+        rhs = _axpy({_plabel(n, m + 1, 0): 1}, 1, table.mul(x, {_plabel(n, m - 1, 0): 1}))
         if lhs != rhs:
             ok_mid = False
     record("y_times_middle_covers", ok_mid, "vacuous" if n < 4 else None)
     # expansion of the next simple out of tensor powers
     ok_exp = True
     for m in range(2, n):
-        rhs = dict(table.power(y, m))
+        rhs = value({(0, m): 1})
         for i in range(1, m // 2 + 1):
-            _axpy(rhs, -_ballot(m, i), table.mul(xp[i], {_vlabel(n, m + 1 - 2 * i, 0): 1}))
+            shifted = table.mul(value({(i, 0): 1}), {_vlabel(n, m + 1 - 2 * i, 0): 1})
+            _axpy(rhs, -_ballot(m, i), shifted)
         if rhs != {_vlabel(n, m + 1, 0): 1}:
             ok_exp = False
     record("simple_from_powers", ok_exp)
     # closed polynomial expansions of simples and covers
-    simples = {m: _eval_xy_poly(table, _simple_poly(m), x, y) for m in range(1, n + 1)}
-    covers = {
-        m: table.mul(_eval_xy_poly(table, _cover_poly(n, m), x, y), vtop) for m in range(1, n)
-    }
+    simples = {m: value(_simple_poly(m)) for m in range(1, n + 1)}
+    covers = {m: table.mul(value(_cover_poly(n, m)), vtop) for m in range(1, n)}
     record(
         "simple_polynomials",
         all(val == {_vlabel(n, m, 0): 1} for m, val in simples.items()),
@@ -717,13 +681,12 @@ def identity_suite_H1(n, table=None):
         all(val == {_plabel(n, m, 0): 1} for m, val in covers.items()),
     )
     # the vanishing product
-    f1, f2 = _deformed_relation_factors(n)
-    v1 = _eval_xy_poly(table, f1, x, y)
-    v2 = _eval_xy_poly(table, f2, x, y)
-    record("vanishing_product", not table.mul(v1, v2))
+    f1, f2 = pres.factors
+    record("vanishing_product", not table.mul(value(f1), value(f2)))
     # constructive generation: every basis class is a polynomial in x and y
     ok_gen = all(
-        table.mul(xp[lab.b], (simples if lab.kind == "V" else covers)[lab.a]) == {lab: 1}
+        table.mul(value({(lab.b, 0): 1}), (simples if lab.kind == "V" else covers)[lab.a])
+        == {lab: 1}
         for lab in table.labels
     )
     record("generated_by_x_y", ok_gen)
@@ -759,18 +722,17 @@ def class_algebra_radical(family, n, table=None):
 
     alg = TableAlgebra(field, dim, product, unit=vec({table.one: 1}))
     rad = alg.radical()
-    # radical generators: (1 - x) z and (for the undeformed family) (1 - y) z
-    z = Label("P", 0, 0)
+    pres = PresentationSpec(family, n)
+    value = _evaluator(table, pres.generators)
+    images = {m: vec(value({m: 1})) for m in pres.normal_monomials}
+    # radical generators (1 - g) z for g = x, y (tensor-taft) or g = x (hpq p = 0)
     if family == "tensor_taft":
-        gens_labels = [
-            {z: 1, Label("P", 1, 0): -1},
-            {z: 1, Label("P", 0, 1): -1},
-        ]
+        g_z = [(1, 0, 1), (0, 1, 1)]
         expected_quotient = n * n + 1
     else:
-        gens_labels = [{z: 1, Label("P", 1, 1): -1}]
+        g_z = [(1, 0, 1)]
         expected_quotient = n * (n + 1)
-    gen_vecs = [vec(g) for g in gens_labels]
+    gen_vecs = [vec(value({(0, 0, 1): 1, m: -1})) for m in g_z]
     ideal = alg.ideal_span(gen_vecs)
     nilpotent = not any(alg.mul_vec(v, v) for v in gen_vecs)
     quotient = alg.quotient_by_ideal(ideal)
@@ -785,7 +747,7 @@ def class_algebra_radical(family, n, table=None):
         "expected_quotient_dim": expected_quotient,
     }
     # explicit idempotent census certifying the split product of fields
-    idems = _census_idempotents(family, n, field, labs, index, ideal, alg)
+    idems = _census_idempotents(family, n, field, images, ideal)
     ok_idem = all(quotient.is_idempotent(e) for e in idems)
     ok_orth = all(
         quotient.orthogonal(e, e2) for i, e in enumerate(idems) for e2 in idems[i + 1:]
@@ -818,27 +780,19 @@ def class_algebra_radical(family, n, table=None):
     return report
 
 
-def _census_idempotents(family, n, field, labs, index, ideal, alg):
-    """The explicit character idempotents, projected to the quotient."""
+def _census_idempotents(family, n, field, images, ideal):
+    """The explicit character idempotents, projected to the quotient.
+
+    images maps each normal monomial x^i y^j z^e to its class vector.
+    """
     inv_n2 = RAT(1, n * n)
     inv_n = RAT(1, n)
 
-    def class_vec(kind_powers):
-        # kind_powers: dict (i, j, e) -> CycloNum coefficient of x^i y^j z^e
+    def class_vec(poly):
+        # poly: dict (i, j, e) -> CycloNum coefficient of x^i y^j z^e
         v = {}
-        for (i, j, e), c in kind_powers.items():
-            if family == "tensor_taft":
-                lab = (
-                    Label("P", i % n, j % n) if e else Label("S", i % n, j % n)
-                )
-            else:
-                # x = S(1,1), y = S(0,1): x^i y^j = S(i, i+j)
-                lab = (
-                    Label("P", i % n, (i + j) % n)
-                    if e
-                    else Label("S", i % n, (i + j) % n)
-                )
-            _merge(v, index[lab], c)
+        for mono, c in poly.items():
+            _add_scaled(v, c, images[mono])
         return v
 
     def chi(k, l):

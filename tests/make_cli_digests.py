@@ -26,6 +26,12 @@ REFERENCE_ARGS = " --seed 1"
 _FAMILIES = ("--family tensor-taft", "--family taft", "--family taft-opp",
              "--family hpq --p 0", "--family hpq --p 1")
 
+# the targets that evaluate the class-ring presentations and the identity
+# suite, beyond n = 3 where H_n(1,q) has its fewest normal monomials
+_CLASS_RING_TARGETS = ("thm3.8", "thm4.9", "thm5.9", "cor5.8", "prop3.9",
+                       "prop4.10", "lemma5.3", "cor5.4", "prop5.5",
+                       "lemma5.6", "prop5.7")
+
 COMMANDS = (
     [key + REFERENCE_ARGS for key in sorted(REFERENCE)]
     + ["export --what %s %s --n 3" % (what, fam)
@@ -36,6 +42,9 @@ COMMANDS = (
        "algebra verify --family hpq --p 1 --n 4"]
     + ["verify blocks --family hpq --p 0 --n 3",
        "algebra verify --family hpq --p 0 --n 3"]
+    + ["verify %s --n 4" % target for target in _CLASS_RING_TARGETS]
+    + ["verify %s --n 5" % target
+       for target in ("thm5.9", "cor5.8", "lemma5.6", "prop5.7")]
 )
 
 

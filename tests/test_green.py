@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hopfring.green import (
     FusionError,
     PresentationSpec,
+    _evaluator,
     _int_det,
     class_algebra_radical,
     closed_form_fusion,
@@ -152,6 +153,23 @@ def test_deformed_relation_factors_n3():
     # y^3 - 3xy - 2 and y^2 - x
     assert f1 == {(0, 3): 1, (1, 1): -3, (0, 0): -2}
     assert f2 == {(0, 2): 1, (1, 0): -1}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_normal_monomials_are_single_classes(n):
+    # x^i y^j z^e is S or P at (i, j) for tensor-taft, where x = S(1,0), and
+    # at (i, i + j) for hpq p = 0, where x = S(1,1); y = S(0,1), z = P(0,0)
+    for family, shear in (("tensor_taft", 0), ("hpq0", 1)):
+        value = _evaluator(fusion_table(family, n), PresentationSpec(family, n).generators)
+        for i in range(n):
+            for j in range(n):
+                for e, kind in ((0, "S"), (1, "P")):
+                    lab = Label(kind, i, (shear * i + j) % n)
+                    assert value({(i, j, e): 1}) == {lab: 1}, (family, i, j, e)
+    # x = V(1,1) translates: x^l = V(1, l)
+    value = _evaluator(fusion_table("hpq1", n), PresentationSpec("hpq1", n).generators)
+    for l in range(n):
+        assert value({(l, 0): 1}) == {V(1, l): 1}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -235,6 +235,26 @@ def test_blocks_gate_the_central_idempotent_census(argv, capsys, monkeypatch):
     assert census["central"] and census["orthogonal"]
 
 
+@pytest.mark.parametrize("target", ["prop3.9", "prop4.10"])
+def test_class_radical_gates_the_idempotent_census(target, capsys, monkeypatch):
+    # 2e is orthogonal to the other census idempotents, but not idempotent
+    real = green._census_idempotents
+
+    def first_doubled(*args):
+        idems = real(*args)
+        return [{k: c + c for k, c in idems[0].items()}] + idems[1:]
+
+    monkeypatch.setattr(green, "_census_idempotents", first_doubled)
+    code, doc = run(capsys, ["verify", target, "--n", "3"])
+    assert code == 1
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    assert rep["radical_equals_generated_ideal"]
+    census = rep["idempotents"]
+    assert not census["idempotent"] and not census["complete"]
+    assert census["orthogonal"] and census["primitive"]
+
+
 def test_integrals_target_gates_unimodularity(capsys, monkeypatch):
     # left integrals sought where c acts by q, not by its counit value 1,
     # are no longer the right integrals of the p = 0 deformation
