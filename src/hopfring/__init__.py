@@ -21,7 +21,6 @@ from .hopf import HopfMaps, hopf_maps, skew_pairing_tau, tensor_iso_check, verif
 from .labels import Label, basis_labels, parse_label
 from .linalg import Mat, Subspace, kernel_basis, kronecker
 from .repn import (
-    DecompVector,
     Module,
     decompose,
     hom_dim,

@@ -400,7 +400,7 @@ def cmd_modules_list(args):
     ]
     pims = [
         {
-            "label": str(cat.proj_label(lab)),
+            "label": str(cat.pims[lab].label),
             "covers": str(lab),
             "dim": cat.pims[lab].dim,
         }
@@ -469,7 +469,7 @@ def cmd_export(args):
         doc = {
             "simples": {str(l): cat.simples[l].to_json() for l in cat.labels},
             "projective_covers": {
-                str(cat.proj_label(l)): cat.pims[l].to_json() for l in cat.labels
+                str(cat.pims[l].label): cat.pims[l].to_json() for l in cat.labels
             },
         }
     elif args.what == "table":

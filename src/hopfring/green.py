@@ -2,12 +2,13 @@
 
 The closed forms give every product of basis classes directly; the matrix
 oracle recomputes the same products by building the tensor module and
-decomposing it.  Each ring presentation is data in ``PresentationSpec``:
-its generators as label combinations, its relations as named integer
-polynomials in them, and its normal monomials.  One evaluator computes
-every such polynomial inside the fusion ring; a presentation is verified
-by evaluating its relations there and checking that the normal monomials
-expand unimodularly over the standard basis.
+decomposing it into a class combination {label: multiplicity}, which it
+compares with the closed form directly.  Each ring presentation is data in
+``PresentationSpec``: its generators as label combinations, its relations
+as named integer polynomials in them, and its normal monomials.  One
+evaluator computes every such polynomial inside the fusion ring; a
+presentation is verified by evaluating its relations there and checking
+that the normal monomials expand unimodularly over the standard basis.
 """
 
 from __future__ import annotations
@@ -327,27 +328,12 @@ class FusionTable:
         return buf.getvalue()
 
 
-def _catalog_module(cat, label):
-    if label.kind == "S":
-        return cat.simples[label]
-    if label.kind == "P":
-        return cat.pims[Label("S", label.a, label.b)]
-    if label.kind == "V":
-        return cat.simples[label]
-    return cat.pims[Label("V", label.a, label.b)]
-
-
-def _decomp_to_dict(dv):
-    return _axpy(_axpy({}, 1, dv.simple_mults), 1, dv.proj_mults)
-
-
 def computed_fusion(cat, A, B):
     """The product of two basis classes through the matrix oracle: tensor the
     catalog modules and decompose, as a label -> int dict."""
     from .repn import decompose, tensor_module
 
-    M = tensor_module(_catalog_module(cat, A), _catalog_module(cat, B))
-    return _decomp_to_dict(decompose(M, cat.algebra))
+    return decompose(tensor_module(cat.classes[A], cat.classes[B]))
 
 
 def fusion_table(family, n, mode="closed_form"):
@@ -460,7 +446,6 @@ class PresentationSpec:
             self.normal_monomials = [
                 (i, j, e) for e in (0, 1) for i in range(n) for j in range(n)
             ]
-            self.expected_rank = 2 * n * n
             if family == "tensor_taft":
                 # z^2 = sum_ij x^i y^j z
                 z_square = {(i, j, 1): 1 for i in range(n) for j in range(n)}
@@ -478,7 +463,6 @@ class PresentationSpec:
             self.normal_monomials = [
                 (l, m) for l in range(n) for m in range(2 * n - 1)
             ]
-            self.expected_rank = n * (2 * n - 1)
             # F1 = sum (-1)^i n/(n-i) C(n-i, i) x^i y^(n-2i) - 2 is the cover
             # polynomial at m = 0 minus 2; F2 = V(n, 0) is the top simple class
             self.factors = (_axpy(_cover_poly(n, 0), -2, {(0, 0): 1}), _simple_poly(n))
@@ -491,8 +475,6 @@ class PresentationSpec:
             self._rule = (top, {k: -v for k, v in vanishing.items() if k != (0, top)})
         else:
             raise FusionError("unknown family %r" % (family,))
-        if len(self.normal_monomials) != self.expected_rank:
-            raise FusionError("normal basis cardinality mismatch")
 
     def reduce(self, poly):
         """Normal form in the presented ring (integer coefficients).
@@ -522,12 +504,13 @@ def verify_presentation(family, n, table=None, seed=0):
     if table is None:
         table = fusion_table(family, n, "closed_form")
     pres = PresentationSpec(family, n)
+    mono = pres.normal_monomials
     report = {
         "family": family,
         "n": n,
         "status": "pass",
         "relations": [],
-        "normal_basis_size": pres.expected_rank,
+        "normal_basis_size": len(mono),
     }
 
     def fail(msg, witness=None):
@@ -548,13 +531,14 @@ def verify_presentation(family, n, table=None, seed=0):
         report["relations"].append({"relation": name, "holds": bool(ok)})
         if not ok:
             fail("relation fails", name)
-    # basis check: integer change of basis must be unimodular
-    mono = pres.normal_monomials
-    images = {m: value({m: 1}) for m in mono}
+    # basis check: integer change of basis must be unimodular; the
+    # determinant and the sampled check below assume a square system
     labs = table.labels
+    if len(set(mono)) != len(mono) or len(mono) != len(labs):
+        fail("normal basis has wrong cardinality", len(mono))
+        return report
+    images = {m: value({m: 1}) for m in mono}
     mat = [[img.get(lab, 0) for lab in labs] for img in images.values()]
-    if len(mat) != len(labs):
-        fail("normal basis has wrong cardinality", len(mat))
     det = _int_det(mat)
     report["change_of_basis_det"] = det
     if det not in (1, -1):

@@ -15,11 +15,12 @@ t = top multiplicities, c = composition multiplicities and C the Cartan
 matrix, the multiplicities a (simples) and b (projectives) solve
 t = a + b and c = a + C^T b; integrality and nonnegativity of the
 solution is the membership tripwire for the projective class subcategory.
+``decompose`` returns the class combination {label: multiplicity} that the
+closed forms use; the catalog's ``classes`` maps each class label to the
+module it names.
 """
 
 from __future__ import annotations
-
-import random
 
 from .algebra import _merge, _ratio, _relation_failures
 from .hopf import hopf_maps
@@ -51,8 +52,6 @@ __all__ = [
     "radical_filtration",
     "module_catalog",
     "decompose",
-    "DecompVector",
-    "conjugated_module",
     "pim_arrow_scalars",
 ]
 
@@ -591,14 +590,10 @@ class ModuleCatalog:
         self.simples = simples  # label -> Module
         self.pims = pims  # simple label -> its projective cover Module
         self.cartan = cartan  # (top label T, simple label S) -> [P(T):S]
+        # class label -> module; simples last, so a self-projective V(n, r)
+        # names its simple
+        self.classes = {M.label: M for M in [*pims.values(), *simples.values()]}
         self._cartan_factor = None
-
-    def proj_label(self, top_label):
-        if top_label.kind == "S":
-            return Label("P", top_label.a, top_label.b)
-        if top_label.kind == "V" and top_label.a == self.algebra.n:
-            return top_label
-        return Label("Pr", top_label.a, top_label.b)
 
     def cartan_matrix(self):
         labs = self.labels
@@ -941,22 +936,20 @@ def module_catalog(H, seed=0):
     return cat
 
 
-def decompose(M, H=None, via_hom=False):
-    """Express M in the basis of simples and projective indecomposables.
+def decompose(M):
+    """M as a combination of classes, class label -> multiplicity.
 
     Membership in the projective class subcategory is verified, not
     assumed: the Hom-counting system must have a nonnegative integral
     solution, the dimensions must add up, and the claimed sum must
     reproduce the measured top and composition vectors.
     """
-    if H is None:
-        H = M.algebra
-    cat = module_catalog(H)
+    cat = module_catalog(M.algebra)
     if M.dim == 0:
-        return DecompVector({}, {})
+        return {}
     labs = cat.labels
     tvec = [hom_dim(M, cat.simples[lab]).dim for lab in labs]
-    cvec = cat.composition_vector(M, via_hom=via_hom)
+    cvec = cat.composition_vector(M)
     sol = cat._solve_mults(cvec, tvec)
     if sol is None:
         raise ModuleError(
@@ -971,87 +964,16 @@ def decompose(M, H=None, via_hom=False):
         c_claim = avec[i] + sum(bvec[j] * cm[j][i] for j in range(k))
         if t_claim != tvec[i] or c_claim != cvec[i]:
             raise ModuleError("decomposition oracle mismatch at %s" % labs[i])
-    simple_mults = {}
-    proj_mults = {}
+    out = {}
     dim_total = 0
-    for lab, m in zip(labs, avec):
-        if m:
-            simple_mults[lab] = m
-            dim_total += m * cat.simples[lab].dim
-    for lab, m in zip(labs, bvec):
-        if m:
-            proj_mults[cat.proj_label(lab)] = m
-            dim_total += m * cat.pims[lab].dim
+    for summands, mults in ((cat.simples, avec), (cat.pims, bvec)):
+        for lab, m in zip(labs, mults):
+            if m:
+                summand = summands[lab]
+                out[summand.label] = out.get(summand.label, 0) + m
+                dim_total += m * summand.dim
     if dim_total != M.dim:
         raise ModuleError(
             "decomposition dims %d do not match module dim %d" % (dim_total, M.dim)
         )
-    return DecompVector(simple_mults, proj_mults)
-
-
-def conjugated_module(M, seed):
-    """M rewritten in a random basis (drops weight data; used as an oracle)."""
-    rng = random.Random(seed)
-    H = M.algebra
-    f = H.field
-    d = M.dim
-    while True:
-        draws = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
-        p = Mat(f, d, d, [{j: f.from_int(v) for j, v in enumerate(r) if v} for r in draws])
-        try:
-            pinv = invert(p)
-            break
-        except ValueError:
-            continue
-    acts = {name: pinv * M.acts[name] * p for name in M.acts}
-    return Module(H, acts, label=M.label, weights=None, check=False)
-
-
-class DecompVector:
-    """Multiplicities of simples and projectives in a decomposition."""
-
-    def __init__(self, simple_mults, proj_mults):
-        self.simple_mults = {k: v for k, v in simple_mults.items() if v}
-        self.proj_mults = {k: v for k, v in proj_mults.items() if v}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DecompVector)
-            and self.simple_mults == other.simple_mults
-            and self.proj_mults == other.proj_mults
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                tuple(sorted(self.simple_mults.items())),
-                tuple(sorted(self.proj_mults.items())),
-            )
-        )
-
-    def total_dim(self, n):
-        from .labels import label_dim
-
-        out = 0
-        for lab, m in self.simple_mults.items():
-            out += m * label_dim(lab, n)
-        for lab, m in self.proj_mults.items():
-            out += m * label_dim(lab, n)
-        return out
-
-    def to_json(self):
-        return {
-            "simples": {str(k): v for k, v in sorted(self.simple_mults.items())},
-            "projectives": {str(k): v for k, v in sorted(self.proj_mults.items())},
-        }
-
-    def __str__(self):
-        items = sorted(self.simple_mults.items()) + sorted(self.proj_mults.items())
-        if not items:
-            return "0"
-        parts = []
-        for lab, m in items:
-            parts.append(str(lab) if m == 1 else "%d*%s" % (m, lab))
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    return out

@@ -45,6 +45,18 @@ COMMANDS = (
     + ["verify %s --n 4" % target for target in _CLASS_RING_TARGETS]
     + ["verify %s --n 5" % target
        for target in ("thm5.9", "cor5.8", "lemma5.6", "prop5.7")]
+    # the fusion-subset targets, which run the matrix oracle
+    + ["verify %s --n 3" % target
+       for target in ("prop3.6", "prop3.7", "prop4.7", "prop4.8")]
+    + ["modules list --family tensor-taft --n 3",
+       "modules list --family hpq --p 0 --n 3"]
+    # deformed closed-form cases that n = 3 never reaches: case05, case08,
+    # case09 (the self-projective V(n, r)) and case11
+    + ["fuse %s --family hpq --p 1 --n 4 --mode both" % pair
+       for pair in ("V(2,0) P(2,0)", "V(3,0) P(2,1)", "V(4,1) P(1,0)",
+                    "P(2,1) P(3,2)")]
+    + ["fuse P(1,2) P(3,0) %s --n 4 --mode both" % fam
+       for fam in ("--family tensor-taft", "--family hpq --p 0")]
 )
 
 

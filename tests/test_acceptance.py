@@ -22,13 +22,8 @@ from hopfring.green import (
     verify_presentation,
 )
 from hopfring.hopf import verify_hopf_axioms
-from hopfring.repn import (
-    conjugated_module,
-    decompose,
-    hom_dim,
-    module_catalog,
-    tensor_module,
-)
+from hopfring.labels import label_dim
+from hopfring.repn import decompose, hom_dim, module_catalog, tensor_module
 from hopfring.structure import (
     center_and_blocks,
     integrals_and_symmetry,
@@ -36,6 +31,7 @@ from hopfring.structure import (
     loewy_length,
     monomial_ideal_span,
 )
+from oracles import conjugated_module
 
 ELAPSED = {3: 0.0, 4: 0.0, 5: 0.0}
 # the timed criteria whose n = 3 and n = 4 times criterion 9 sums
@@ -266,11 +262,11 @@ def test_criterion8_robustness():
             for lab in labs:
                 ok = ok and hom_dim(cat.simples[lab], cat.simples[lab]).dim == 1
         for H, fixture in fixtures:
-            base = decompose(fixture, H)
-            ok = ok and base.total_dim(H.n) == fixture.dim
+            base = decompose(fixture)
+            ok = ok and sum(m * label_dim(l, H.n) for l, m in base.items()) == fixture.dim
             for seed in range(20):
                 twisted = conjugated_module(fixture, seed)
-                ok = ok and decompose(twisted, H) == base
+                ok = ok and decompose(twisted) == base
     report("8: conjugation invariance, splitness, bookkeeping", ok,
            "%.1fs" % t.dt)
 

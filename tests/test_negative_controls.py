@@ -255,6 +255,30 @@ def test_class_radical_gates_the_idempotent_census(target, capsys, monkeypatch):
     assert census["orthogonal"] and census["primitive"]
 
 
+@pytest.mark.parametrize("corrupt", ["dropped", "duplicated"])
+@pytest.mark.parametrize("target", ["thm3.8", "thm4.9", "thm5.9"])
+def test_presentation_gates_the_normal_basis_cardinality(target, corrupt, capsys, monkeypatch):
+    # a duplicated monomial is one image counted twice; a dropped one
+    # leaves a class of the standard basis unreached
+    class Corrupted(green.PresentationSpec):
+        def __init__(self, family, n):
+            super().__init__(family, n)
+            last = self.normal_monomials.pop()
+            if corrupt == "duplicated":
+                self.normal_monomials += [last, last]
+
+    monkeypatch.setattr(green, "PresentationSpec", Corrupted)
+    code, doc = run(capsys, ["verify", target, "--n", "3"])
+    assert code == 1
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    size = len(basis_labels(rep["family"], 3)) + (1 if corrupt == "duplicated" else -1)
+    assert rep["normal_basis_size"] == size
+    assert rep["failures"] == [
+        {"reason": "normal basis has wrong cardinality", "witness": size}
+    ]
+
+
 def test_integrals_target_gates_unimodularity(capsys, monkeypatch):
     # left integrals sought where c acts by q, not by its counit value 1,
     # are no longer the right integrals of the p = 0 deformation
