@@ -57,6 +57,10 @@ COMMANDS = (
                     "P(2,1) P(3,2)")]
     + ["fuse P(1,2) P(3,0) %s --n 4 --mode both" % fam
        for fam in ("--family tensor-taft", "--family hpq --p 0")]
+    # the block, quiver and class-radical checks of H_n(0,q) past n = 3,
+    # whose algebra-element products are dense sums of idempotents
+    + ["verify %s --n 4" % target for target in ("quiver4", "prop4.6", "prop4.1")]
+    + ["verify blocks --family hpq --p 0 --n 4"]
 )
 
 
