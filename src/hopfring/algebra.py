@@ -13,7 +13,10 @@ that moves generators into alphabetical order and reduces n-th powers;
 the one fanning rule is d past a in the deformed family.  The
 generator-level rewrites, their letter powers and the resulting basis-pair
 products are memoized, which is what makes the larger orders feasible;
-products needed only once (the trace form's) bypass the pair memo.
+products needed only once (the trace form's) bypass the pair memo.  An
+element product x * y sums cu * cv * (mu * mv) over the terms of x and y
+in one fused multiply-accumulate (``cyclo._sum_of_products``), which
+normalizes each output coefficient once instead of once per term.
 
 Construction proves the product associative.  ``mono_mul(u, v)`` is
 L_u(v), a composite of the operators L_t = ``_lmul_gen(t, .)``; the build
@@ -29,7 +32,7 @@ the argument covers every product.
 
 from __future__ import annotations
 
-from .cyclo import RAT, CycloNum, cyclo_field
+from .cyclo import RAT, CycloNum, _sum_of_products, cyclo_field
 from .linalg import Mat, _add_scaled
 
 __all__ = ["AlgebraSpec", "Algebra", "AlgElt", "build_algebra", "AlgebraError"]
@@ -327,11 +330,11 @@ class Algebra:
         return cur
 
     def mul(self, x, y):
-        out = {}
-        for mu, cu in x.terms.items():
-            for mv, cv in y.terms.items():
-                _add_scaled(out, cu * cv, self.mono_mul(mu, mv))
-        return AlgElt(self, out)
+        mono_mul = self.mono_mul
+        ys = y.terms.items()
+        return AlgElt(self, _sum_of_products(
+            self.field, ((cu, cv, mono_mul(mu, mv)) for mu, cu in x.terms.items() for mv, cv in ys)
+        ))
 
     # -- counit-flavoured helpers -----------------------------------------
 

@@ -206,12 +206,11 @@ def _class_radical(n, family, seed):
 
 def _loewy_for(H):
     if H.deformed:
-        # max Loewy length over the projective covers (H is their direct sum)
-        from .repn import module_catalog, radical_filtration
+        # max Loewy length over the projective covers (H is their direct sum),
+        # whose radical layers the catalog computed for the Cartan matrix
+        from .repn import module_catalog
 
-        cat = module_catalog(H)
-        pairs = [(lab, cat.simples[lab]) for lab in cat.labels]
-        return max(len(radical_filtration(cat.pims[lab], pairs)) for lab in cat.labels)
+        return max(len(layers) for layers in module_catalog(H).layers.values())
     return loewy_length(H)
 
 

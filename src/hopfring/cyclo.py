@@ -16,6 +16,13 @@ value, each carrying its index (``_root``).  The rule is by value: every
 element the field hands out whose value is +-q^k is that table object.  A
 product with a table root is index arithmetic (root times root) or that
 code with no gcd (root times anything else).
+
+Sums of products, the inner loop of an algebra-element product, have one
+fused kernel, ``_sum_of_products``: it adds each term's numerators, from
+the root table or the product code, into integer numerators over one
+common denominator, and normalizes each output entry once.  The entries
+it returns keep the representation and the value rule; the raw
+numerators never leave it.
 """
 
 from __future__ import annotations
@@ -101,6 +108,65 @@ def _combine(x, y, op):
     s, t = da // g, db // g
     nums = tuple([op(u * t, v * s) for u, v in zip(x.nums, y.nums)])
     return _reduced(x.field, nums, s * db)
+
+
+def _sum_of_products(field, terms):
+    """The sparse row sum of a * b * row over the terms (a, b, row), built
+    fresh: a and b are CycloNums (b None stands for one), and row maps keys
+    to CycloNums.
+
+    A fused multiply-accumulate.  Each term's numerators come from the root
+    table when every factor is a root, else from the product code; the
+    factor a * b is formed once per term, not once per row entry.  The
+    output entries are integer numerators over one common denominator,
+    and each goes through ``_reduced`` once at the end: lowest terms, no
+    stored zero, and the table object for every +-q^k.  No CycloNum is
+    made per term."""
+    kernel = field._kernel
+    roots = field._roots
+    root_prod = field._root_prod
+    acc = {}
+    den = 1  # the common denominator of acc
+    for a, b, row in terms:
+        # the factor a * b: a root index r, or numerators fn over fd
+        r = a._root
+        if b is None:
+            if r is None:
+                fn, fd = a.nums, a.den
+        elif b._root is None:
+            if r is None:
+                fn, fd = kernel(a.nums, b.nums), a.den * b.den
+            else:
+                # a root is a unit of Z[zeta], so it leaves the denominator
+                fn, fd = (b.nums if r == 0 else kernel(a.nums, b.nums)), b.den
+                r = None
+        elif r is None:
+            fn, fd = (a.nums if b._root == 0 else kernel(a.nums, b.nums)), a.den
+        else:
+            r = root_prod[r][b._root]._root
+        for key, v in row.items():
+            s = v._root
+            if r is not None:
+                if s is not None:
+                    t, d = root_prod[r][s].nums, 1
+                else:
+                    t, d = (v.nums if r == 0 else kernel(roots[r].nums, v.nums)), v.den
+            elif s is None:
+                t, d = kernel(fn, v.nums), fd * v.den
+            else:
+                t, d = (fn if s == 0 else kernel(fn, v.nums)), fd
+            if d != den:
+                if den % d:
+                    m = lcm(den, d) // den
+                    for k, c in acc.items():
+                        acc[k] = tuple([x * m for x in c])
+                    den *= m
+                if d != den:
+                    m = den // d
+                    t = tuple([x * m for x in t])
+            cur = acc.get(key)
+            acc[key] = t if cur is None else tuple(map(add, cur, t))
+    return {key: _reduced(field, t, den) for key, t in acc.items() if any(t)}
 
 
 def _product_kernel(red):

@@ -9,7 +9,8 @@ and for the PBW algebras alike.
 
 from __future__ import annotations
 
-from .linalg import Mat, SpanBuilder, _add_scaled, kernel_basis
+from .cyclo import _sum_of_products
+from .linalg import Mat, SpanBuilder, kernel_basis
 
 __all__ = ["TableAlgebra", "trace_form"]
 
@@ -86,11 +87,11 @@ class TableAlgebra:
         """Product of two coordinate vectors."""
         if not (isinstance(x, dict) and isinstance(y, dict)):
             raise TypeError("coordinate vectors are sparse rows")
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                _add_scaled(out, xi * yj, self.basis_product(i, j))
-        return out
+        product = self.basis_product
+        ys = y.items()
+        return _sum_of_products(
+            self.field, ((xi, yj, product(i, j)) for i, xi in x.items() for j, yj in ys)
+        )
 
     def gram(self):
         basis = range(self.dim)

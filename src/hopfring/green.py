@@ -21,7 +21,7 @@ from math import comb
 from operator import add
 
 from .algebra import AlgebraSpec, _ratio, build_algebra
-from .cyclo import RAT, cyclo_field
+from .cyclo import RAT, _sum_of_products, cyclo_field
 from .fdalg import TableAlgebra
 from .labels import Label, basis_labels, format_combination, label_dim
 from .linalg import SpanBuilder, _add_scaled
@@ -774,10 +774,7 @@ def _census_idempotents(family, n, field, images, ideal):
 
     def class_vec(poly):
         # poly: dict (i, j, e) -> CycloNum coefficient of x^i y^j z^e
-        v = {}
-        for mono, c in poly.items():
-            _add_scaled(v, c, images[mono])
-        return v
+        return _sum_of_products(field, ((c, None, images[mono]) for mono, c in poly.items()))
 
     def chi(k, l):
         # the character idempotent n^-2 sum_ij q^(ki+lj) x^i y^j
@@ -850,13 +847,14 @@ def quiver_check_H0(n):
     scalars = {}
     for i in range(n):
         verts = {j: es[((i + j) % n, j)] for j in range(n)}
+        # e_v m for each vertex v and arrow representative m, formed once
+        left = {v: [verts[v] * H.monomial(m) for m in arrow_reps] for v in range(n)}
         counts = {}
         for u in range(n):
             for v in range(n):
                 sb = SpanBuilder(H.field, H.dim)
-                for m in arrow_reps:
-                    x = verts[v] * H.monomial(m) * verts[u]
-                    sb.insert(project(x.as_row()))
+                for vm in left[v]:
+                    sb.insert(project((vm * verts[u]).as_row()))
                 if sb.dim:
                     counts[(u, v)] = sb.dim
         crown = all(

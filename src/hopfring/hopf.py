@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgebraSpec, _merge, build_algebra, defining_relations, eval_relation
-from .cyclo import q_factorial
+from .algebra import AlgebraSpec, AlgElt, _merge, build_algebra, defining_relations, eval_relation
+from .cyclo import _sum_of_products, q_factorial
 from .linalg import _add_scaled
 
 __all__ = [
@@ -133,11 +133,10 @@ class HopfMaps:
         return out
 
     def antipode(self, elt):
-        H = self.H
-        out = H.zero_elt
-        for m, c in elt.terms.items():
-            out = out + self.antipode_mono(m).scale(c)
-        return out
+        S = self.antipode_mono
+        return AlgElt(self.H, _sum_of_products(
+            self.H.field, ((c, None, S(m).terms) for m, c in elt.terms.items())
+        ))
 
     # -- per-element axiom checks --------------------------------------------
 

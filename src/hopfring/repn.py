@@ -584,12 +584,15 @@ def _is_simple(M):
 class ModuleCatalog:
     """All simples and projective indecomposables of one algebra, labeled."""
 
-    def __init__(self, H, labels, simples, pims, cartan):
+    def __init__(self, H, labels, simples, pims, cartan, layers=None):
         self.algebra = H
         self.labels = labels  # simple labels in canonical order
         self.simples = simples  # label -> Module
         self.pims = pims  # simple label -> its projective cover Module
         self.cartan = cartan  # (top label T, simple label S) -> [P(T):S]
+        # simple label -> the radical layers of its cover, where the catalog
+        # computed them (the deformed family's Cartan matrix); else None
+        self.layers = layers
         # class label -> module; simples last, so a self-projective V(n, r)
         # names its simple
         self.classes = {M.label: M for M in [*pims.values(), *simples.values()]}
@@ -908,13 +911,13 @@ def _h1_catalog(H):
         P.label = Label("Pr", lab.a, lab.b) if lab.a < n else lab
         pim_map[lab] = P
     pairs = [(lab, simple_map[lab]) for lab in labels]
+    layers = {lab: radical_filtration(pim_map[lab], pairs) for lab in labels}
     cartan = {}
     for lab in labels:
-        layers = radical_filtration(pim_map[lab], pairs)
-        for layer in layers:
+        for layer in layers[lab]:
             for s, m in layer.items():
                 cartan[(lab, s)] = cartan.get((lab, s), 0) + m
-    return ModuleCatalog(H, labels, simple_map, pim_map, cartan)
+    return ModuleCatalog(H, labels, simple_map, pim_map, cartan, layers)
 
 
 def module_catalog(H, seed=0):

@@ -10,10 +10,10 @@ linear algebra on graded pieces.
 from __future__ import annotations
 
 from .algebra import AlgElt
-from .cyclo import RAT
+from .cyclo import RAT, _sum_of_products
 from .fdalg import TableAlgebra, _form_matrix, trace_form
 from .hopf import hopf_maps
-from .linalg import Mat, SpanBuilder, Subspace, _add_scaled, invert as _invert, kernel_basis
+from .linalg import Mat, SpanBuilder, Subspace, invert as _invert, kernel_basis
 
 __all__ = [
     "jacobson_radical",
@@ -264,12 +264,11 @@ def _solve_in_span(H, candidates, constraints):
             row.update((k * H.dim + j, c) for j, c in con(v).as_row().items())
         images.append(row)
     ker = kernel_basis(Mat(field, len(images), len(constraints) * H.dim, images).transpose())
-    vecs = []
-    for kv in ker.rows:
-        acc = H.zero_elt
-        for k, coeff in kv.items():
-            acc = acc + candidates[k].scale(coeff)
-        vecs.append(acc.as_row())
+    rows = [v.as_row() for v in candidates]
+    vecs = [
+        _sum_of_products(field, ((coeff, None, rows[k]) for k, coeff in kv.items()))
+        for kv in ker.rows
+    ]
     return Subspace.from_vectors(field, H.dim, vecs)
 
 
@@ -435,9 +434,10 @@ def blocks_isomorphic_H0(H):
         table = {}
         for lab1, x1 in basis_elts:
             for lab2, x2 in basis_elts:
-                lcoords = {}
-                for e, c in span.coords((x1 * x2).as_row()).items():
-                    _add_scaled(lcoords, c, to_labels[e])
+                prod = span.coords((x1 * x2).as_row())
+                lcoords = _sum_of_products(
+                    H.field, ((c, None, to_labels[e]) for e, c in prod.items())
+                )
                 table[(lab1, lab2)] = tuple(
                     (labels[r], lcoords[r].serialize()) for r in sorted(lcoords)
                 )

@@ -247,6 +247,31 @@ def test_quiver_scalar_gate_can_fail(capsys, monkeypatch):
     assert rep["crown_shape"] is True
 
 
+def test_quiver_arrow_gate_can_fail(capsys, monkeypatch):
+    from hopfring.algebra import Algebra
+
+    real = Algebra.group_idempotents
+
+    def merged(H):
+        # vertex 0 of block 0 becomes e_0 + e_1, which carries both
+        # vertices' arrows; the commutation scalars stay q
+        es = dict(real(H))
+        es[(0, 0)] = es[(0, 0)] + es[(1, 1)]
+        return es
+
+    monkeypatch.setattr(Algebra, "group_idempotents", merged)
+    code, out = run(capsys, "verify", "quiver4", "--n", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    rep = doc["reports"][0]
+    assert rep["status"] == "fail"
+    assert rep["crown_shape"] is False
+    assert rep["scalar_is_q_uniformly"] is True
+    assert rep["arrows_per_block"] == 10
+    assert rep["arrow_counts"]["0->0"] == 2
+
+
 def test_algebra_verify_hpq1(capsys):
     code, out = run(
         capsys, "algebra", "verify", "--family", "hpq", "--p", "1", "--n", "3"

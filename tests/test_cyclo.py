@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfring import cyclo
-from hopfring.cyclo import RAT, CycloField, CycloNum, _poly_divmod, cyclo_field, q_factorial
+from hopfring.cyclo import (
+    RAT,
+    CycloField,
+    CycloNum,
+    _poly_divmod,
+    _sum_of_products,
+    cyclo_field,
+    q_factorial,
+)
+from hopfring.linalg import _add_scaled
 
 
 @pytest.fixture(scope="module", params=[3, 4, 5])
@@ -553,6 +562,68 @@ def test_module_action_entries_follow_the_value_rule():
     for c in entries:
         _assert_value_rule(c)
     assert sum(c._root is not None for c in entries) > len(entries) // 2
+
+
+# -- the fused multiply-accumulate ---------------------------------------------
+
+SUM_FIELDS = (3, 4, 5, 7)  # phi = 2, 2, 4, 6
+
+
+def fused_sum_case():
+    """Terms (a, b, row) for ``_sum_of_products`` over a field of order in
+    SUM_FIELDS, each with how it is extended: "cancel" adds the term again
+    with -a, "to-root" adds a term that completes a fresh entry to the
+    table root drawn with it.  Factors mix plain elements over several
+    denominators with table roots; b is sometimes None (one)."""
+
+    def draw(n):
+        F = ROOT_FIELDS[n]
+        nonzero = factors(F).filter(bool)
+        row = st.dictionaries(st.integers(0, 4), nonzero, min_size=1, max_size=4)
+        term = st.tuples(nonzero, st.one_of(st.none(), nonzero), row)
+        extend = st.sampled_from(["none", "cancel", "to-root"])
+        root = st.integers(0, 2 * n - 1).map(lambda r: F._roots[r])
+        return st.lists(st.tuples(term, extend, root), min_size=1, max_size=6)
+
+    return st.sampled_from(SUM_FIELDS).flatmap(draw)
+
+
+@PROPS
+@given(fused_sum_case())
+def test_fused_sum_matches_the_per_term_route(case):
+    F = case[0][2].field
+    terms = []
+    for i, ((a, b, row), extend, r) in enumerate(case):
+        terms.append((a, b, row))
+        if extend == "cancel":
+            terms.append((-a, b, row))
+        elif extend == "to-root":
+            ab = a if b is None else a * b
+            key = ("root", i)
+            v = next(iter(row.values()))
+            terms.append((a, b, {key: v}))
+            rest = r - ab * v
+            if rest:
+                terms.append((rest, None, {key: F.one}))
+    rows = [dict(row) for _, _, row in terms]
+    want = {}
+    for a, b, row in terms:
+        _add_scaled(want, a if b is None else a * b, row)
+    got = _sum_of_products(F, iter(terms))
+    assert got == want
+    for out in (got, want):
+        for x in out.values():
+            assert not x.is_zero()
+            _assert_canonical(x)
+            _assert_value_rule(x)
+            if x._root is not None:
+                k = x._root % F.n
+                assert x is F.q_pow(k) or x is -F.q_pow(k)
+    for i, (_, extend, r) in enumerate(case):
+        if extend == "to-root":
+            assert got[("root", i)] is r
+    # the rows are read, not changed
+    assert [row for _, _, row in terms] == rows
 
 
 def test_cyclonums_are_built_only_in_cyclo():

@@ -53,8 +53,8 @@ OTHER_CONTROLS = {"cor3.4", "cor4.4", "cor3.5", "blocks", "prop4.1", "prop4.6"}
 
 # controls kept in test_cli.py, next to the target's other CLI tests
 ELSEWHERE = {
-    "quiver4": "test_quiver_scalar_gate_can_fail",
-    "tensor-iso": "test_verify_tensor_iso_fails_on_corrupt_taft_product",
+    "quiver4": ("test_quiver_scalar_gate_can_fail", "test_quiver_arrow_gate_can_fail"),
+    "tensor-iso": ("test_verify_tensor_iso_fails_on_corrupt_taft_product",),
 }
 
 UNCOVERED = set()
@@ -313,11 +313,30 @@ def test_block_target_gates_the_block_span(capsys, monkeypatch):
     assert rep["block"] == 0 and rep["dim"] == 27
 
 
+def test_block_target_gates_the_shared_table(capsys, monkeypatch):
+    # q e_1 spans the same block as e_1, so the block checks pass, but the
+    # labeled elements a^j d^k b^l (q e_1) multiply with an extra factor q
+    real = structure._central_idempotents_H0
+
+    def scaled(H):
+        es = real(H)
+        return [es[0], es[1].scale(H.field.q)] + es[2:]
+
+    monkeypatch.setattr(structure, "_central_idempotents_H0", scaled)
+    code, doc = run(capsys, ["verify", "prop4.6", "--n", "3"])
+    assert code == 1
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    assert _failed_checks(rep) == {"tables_identical", "idempotent_is_unit"}
+    assert rep["block_dims"] == [27, 27, 27]
+
+
 def test_every_target_has_a_control_or_is_listed_uncovered():
     covered = set(CLOSED_FORM_CONTROLS) | OTHER_CONTROLS
     groups = [covered, set(ELSEWHERE), UNCOVERED]
     assert sum(len(g) for g in groups) == len(set().union(*groups))
     assert set().union(*groups) == set(cli.VERIFY_TARGETS)
     source = Path(__file__).with_name("test_cli.py").read_text()
-    for name in ELSEWHERE.values():
-        assert "def %s(" % name in source
+    for names in ELSEWHERE.values():
+        for name in names:
+            assert "def %s(" % name in source
