@@ -16,7 +16,9 @@ products are memoized, which is what makes the larger orders feasible;
 products needed only once (the trace form's) bypass the pair memo.  An
 element product x * y sums cu * cv * (mu * mv) over the terms of x and y
 in one fused multiply-accumulate (``cyclo._sum_of_products``), which
-normalizes each output coefficient once instead of once per term.
+normalizes each output coefficient once instead of once per term; when
+x and y have one term each, every output coefficient is one scalar
+product and no sum is formed.
 
 Construction proves the product associative.  ``mono_mul(u, v)`` is
 L_u(v), a composite of the operators L_t = ``_lmul_gen(t, .)``; the build
@@ -330,11 +332,20 @@ class Algebra:
         return cur
 
     def mul(self, x, y):
+        xs, ys = x.terms.items(), y.terms.items()
+        if len(xs) == 1 == len(ys):
+            # one term each: every output coefficient is one scalar product,
+            # normalized once, with no sum to fuse (the loops pick the terms)
+            for mu, cu in xs:
+                for mv, cv in ys:
+                    c = cu * cv
+                    out = {}
+                    for m, v in self.mono_mul(mu, mv).items():
+                        out[m] = c * v
+                    return AlgElt(self, out)
         mono_mul = self.mono_mul
-        ys = y.terms.items()
-        return AlgElt(self, _sum_of_products(
-            self.field, ((cu, cv, mono_mul(mu, mv)) for mu, cu in x.terms.items() for mv, cv in ys)
-        ))
+        terms = ((cu, cv, mono_mul(mu, mv)) for mu, cu in xs for mv, cv in ys)
+        return AlgElt(self, _sum_of_products(self.field, terms))
 
     # -- counit-flavoured helpers -----------------------------------------
 

@@ -123,7 +123,6 @@ def _sum_of_products(field, terms):
     stored zero, and the table object for every +-q^k.  No CycloNum is
     made per term."""
     kernel = field._kernel
-    roots = field._roots
     root_prod = field._root_prod
     acc = {}
     den = 1  # the common denominator of acc
@@ -150,7 +149,7 @@ def _sum_of_products(field, terms):
                 if s is not None:
                     t, d = root_prod[r][s].nums, 1
                 else:
-                    t, d = (v.nums if r == 0 else kernel(roots[r].nums, v.nums)), v.den
+                    t, d = (v.nums if r == 0 else kernel(field._roots[r].nums, v.nums)), v.den
             elif s is None:
                 t, d = kernel(fn, v.nums), fd * v.den
             else:
@@ -166,7 +165,11 @@ def _sum_of_products(field, terms):
                     t = tuple([x * m for x in t])
             cur = acc.get(key)
             acc[key] = t if cur is None else tuple(map(add, cur, t))
-    return {key: _reduced(field, t, den) for key, t in acc.items() if any(t)}
+    out = {}  # a loop, not a comprehension, which costs a call per product
+    for key, t in acc.items():
+        if any(t):
+            out[key] = _reduced(field, t, den)
+    return out
 
 
 def _product_kernel(red):

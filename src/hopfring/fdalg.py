@@ -89,9 +89,8 @@ class TableAlgebra:
             raise TypeError("coordinate vectors are sparse rows")
         product = self.basis_product
         ys = y.items()
-        return _sum_of_products(
-            self.field, ((xi, yj, product(i, j)) for i, xi in x.items() for j, yj in ys)
-        )
+        terms = ((xi, yj, product(i, j)) for i, xi in x.items() for j, yj in ys)
+        return _sum_of_products(self.field, terms)
 
     def gram(self):
         basis = range(self.dim)

@@ -134,9 +134,8 @@ class HopfMaps:
 
     def antipode(self, elt):
         S = self.antipode_mono
-        return AlgElt(self.H, _sum_of_products(
-            self.H.field, ((c, None, S(m).terms) for m, c in elt.terms.items())
-        ))
+        terms = ((c, None, S(m).terms) for m, c in elt.terms.items())
+        return AlgElt(self.H, _sum_of_products(self.H.field, terms))
 
     # -- per-element axiom checks --------------------------------------------
 

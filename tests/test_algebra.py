@@ -272,6 +272,33 @@ def test_add_scaled_matches_dense(start, updates):
     assert out == {}
 
 
+@pytest.mark.parametrize("family, n, p", [("tensor_taft", 5, None), ("hpq", 3, 1), ("hpq", 4, 0)])
+def test_element_product_matches_the_per_term_route(family, n, p):
+    # single-term operands take the direct path, all others the fused sum
+    H = get(family, n, p)
+    F = H.field
+    rng = random.Random(n)
+
+    def element(k):
+        coeffs = [F.q_pow(rng.randrange(2 * n)) if rng.random() < 0.5 else F.random(rng)
+                  for _ in range(k)]
+        return algebra.AlgElt(H, {m: c for m, c in zip(rng.sample(H.basis, k), coeffs) if c})
+
+    for kx, ky in [(1, 1)] * 20 + [(1, 4), (4, 1), (6, 7)] * 5:
+        x, y = element(kx), element(ky)
+        want = {}
+        for mu, cu in x.terms.items():
+            for mv, cv in y.terms.items():
+                _add_scaled(want, cu * cv, H.mono_mul(mu, mv))
+        got = H.mul(x, y).terms
+        assert got == want
+        for c in got.values():
+            assert not c.is_zero()
+            # a value +-q^k is its root-table object
+            root = F._root_of.get(c.nums) if c.den == 1 else None
+            assert c is root if root is not None else c._root is None
+
+
 def test_build_cache_keys_on_spec_only(monkeypatch):
     # the construction check is exact, so the sample depth and seed that
     # perfbench and tensor_iso_check still pass change nothing
