@@ -9,6 +9,8 @@ would break that contract.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -532,6 +534,12 @@ def build_parser():
 
 
 def main(argv=None):
+    # Freeze every live object when the process exits, so the interpreter's
+    # shutdown collections skip them.  atexit hooks run before stdout is
+    # flushed, and no hopfring object needs a finalizer of cyclic garbage.
+    # Re-registering keeps one hook per process, run before earlier ones.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

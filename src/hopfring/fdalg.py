@@ -74,6 +74,7 @@ class TableAlgebra:
         self._product = product
         self.unit = unit  # coordinates of 1, if known
         self._radical = None
+        self._commutative = None
 
     def basis_product(self, i, j):
         """basis_i * basis_j, memoized."""
@@ -105,8 +106,18 @@ class TableAlgebra:
     def is_idempotent(self, x):
         return self.mul_vec(x, x) == x
 
+    def is_commutative(self):
+        """Whether every pair of basis elements commutes, certified once."""
+        if self._commutative is None:
+            product = self.basis_product
+            self._commutative = all(
+                product(i, j) == product(j, i)
+                for i in range(self.dim) for j in range(i + 1, self.dim)
+            )
+        return self._commutative
+
     def orthogonal(self, x, y):
-        return not self.mul_vec(x, y) and not self.mul_vec(y, x)
+        return not self.mul_vec(x, y) and (self.is_commutative() or not self.mul_vec(y, x))
 
     def ideal_span(self, generators):
         """Two-sided ideal generated by the given coordinate vectors."""

@@ -547,7 +547,7 @@ def verify_presentation(family, n, table=None, seed=0):
     # pairs of normal monomials, drawn with replacement
     rng = random.Random(seed)
     count = min(200, len(mono) * len(mono))
-    mismatches = 0
+    mismatched = []
     for _ in range(count):
         m1 = mono[rng.randrange(len(mono))]
         m2 = mono[rng.randrange(len(mono))]
@@ -555,9 +555,10 @@ def verify_presentation(family, n, table=None, seed=0):
         for key, c in pres.reduce({tuple(map(add, m1, m2)): 1}).items():
             _axpy(lhs, c, images[key])
         if lhs != table.mul(images[m1], images[m2]):
-            mismatches += 1
-    if mismatches:
-        fail("rewrite engine disagrees with the fusion ring", mismatches)
+            mismatched.append((m1, m2))
+    if mismatched:
+        fail("rewrite engine disagrees with the fusion ring",
+             {"mismatches": len(mismatched), "first_pair": list(mismatched[0])})
     report["iso_samples"] = count
     return report
 

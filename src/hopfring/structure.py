@@ -399,18 +399,17 @@ def blocks_isomorphic_H0(H):
         raise ValueError("block comparison applies to the p = 0 deformation")
     n = H.n
     gens = [H.gen(name) for name in H.letters]
+    labels = [(j, k, l) for j in range(n) for k in range(n) for l in range(n)]
+    # block i has the labeled basis x = m ei, m = a^j d^k b^l
+    monos = [H.monomial((j, 0, 0, k)) * H.monomial((0, l, 0, 0)) for j, k, l in labels]
     tables = []
     dims = []
     unit_ok = True
     for i, ei in enumerate(_central_idempotents_H0(H)):
-        basis_elts = []
+        xs = [m * ei for m in monos]
         sb = SpanBuilder(H.field, H.dim)
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    x = H.monomial((j, 0, 0, k)) * H.monomial((0, l, 0, 0)) * ei
-                    basis_elts.append(((j, k, l), x))
-                    sb.insert(x.as_row())
+        for x in xs:
+            sb.insert(x.as_row())
         span = sb.to_subspace()
         dims.append(span.dim)
         # the span holds ei, so it is the block H ei exactly when the
@@ -418,29 +417,27 @@ def blocks_isomorphic_H0(H):
         reason = None
         if span.dim != n ** 3:
             reason = "block basis not independent"
-        elif not all(span.contains((g * x).as_row()) for g in gens for _, x in basis_elts):
+        elif not all(span.contains((g * x).as_row()) for g in gens for x in xs):
             reason = "block basis does not span a left ideal"
         if reason is not None:
             return {"status": "fail", "reason": reason, "block": i, "dim": span.dim}
-        for _, x in basis_elts:
-            if ei * x != x or x * ei != x:
-                unit_ok = False
+        ei_xs = [ei * x for x in xs]
+        if any(ex != x or x * ei != x for x, ex in zip(xs, ei_xs)):
+            unit_ok = False
         # change of basis from the canonical echelon rows to the labeled
         # basis: echelon coordinate e contributes row e of the inverse of the
         # matrix whose rows are the labeled elements' echelon coordinates
-        coords = [span.coords(x.as_row()) for (_, x) in basis_elts]
+        coords = [span.coords(x.as_row()) for x in xs]
         to_labels = _invert(Mat(H.field, span.dim, span.dim, coords)).sparse_rows
-        labels = [lab for lab, _ in basis_elts]
         table = {}
-        for lab1, x1 in basis_elts:
-            for lab2, x2 in basis_elts:
-                prod = span.coords((x1 * x2).as_row())
+        for lab1, m1 in zip(labels, monos):
+            for lab2, ex2 in zip(labels, ei_xs):
+                # x1 x2 = (m1 ei) x2 = m1 (ei x2), by associativity of H
+                prod = span.coords((m1 * ex2).as_row())
                 lcoords = _sum_of_products(
                     H.field, ((c, None, to_labels[e]) for e, c in prod.items())
                 )
-                table[(lab1, lab2)] = tuple(
-                    (labels[r], lcoords[r].serialize()) for r in sorted(lcoords)
-                )
+                table[(lab1, lab2)] = {labels[r]: c for r, c in lcoords.items()}
         tables.append(table)
     all_equal = all(tables[i] == tables[0] for i in range(1, n))
     return {

@@ -5,19 +5,28 @@ its exit code.  A change that alters any of them must name the command
 and say why in CHANGES.md.  Run from the repository root:
 
     PYTHONPATH=src python tests/make_cli_digests.py
+
+tests/cli_digests_slow.json holds the same for SLOW_COMMANDS, the n = 5
+crosscheck grids, which take minutes each and so stay out of tier-1.
+``--check-slow`` runs them and compares (exit 1 on any difference);
+``--write-slow`` records them.  A change to repn, green, fdalg or cyclo
+runs ``--check-slow`` and records its result in CHANGES.md.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import shlex
+import sys
 from pathlib import Path
 
 from hopfring import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "cli_digests.json"
+SLOW_DIGESTS = ROOT / "tests" / "cli_digests_slow.json"
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
 
 # tests/test_reference_answers.py runs every reference command with this seed
@@ -63,6 +72,12 @@ COMMANDS = (
     + ["verify blocks --family hpq --p 0 --n 4"]
 )
 
+SLOW_COMMANDS = [
+    "table --family tensor-taft --mode crosscheck --n 5",
+    "table --family hpq --p 0 --mode crosscheck --n 5",
+    "table --family hpq --p 1 --mode crosscheck --n 5",
+]
+
 
 def run_command(command):
     """(exit code, stdout) of one in-process CLI run."""
@@ -76,11 +91,46 @@ def digest(rc, text):
     return {"exit_code": rc, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def main():
-    table = {command: digest(*run_command(command)) for command in COMMANDS}
-    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print("wrote %d digests to %s" % (len(table), DIGESTS))
+def write(path, commands):
+    table = {command: digest(*run_command(command)) for command in commands}
+    path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print("wrote %d digests to %s" % (len(table), path))
+
+
+def check_slow():
+    """Run every slow command; print one line each and return 1 on any
+    difference, with the failing report's first mismatching pair."""
+    recorded = json.loads(SLOW_DIGESTS.read_text())
+    status = 0
+    for command in SLOW_COMMANDS:
+        rc, text = run_command(command)
+        got = digest(rc, text)
+        if got == recorded.get(command):
+            print("ok  %s" % command, flush=True)
+            continue
+        status = 1
+        doc = json.loads(text)
+        report = doc.get("reports", [doc])[0]
+        print("BAD %s: got %s, recorded %s, first_mismatch %s, error %s" % (
+            command, got, recorded.get(command), report.get("first_mismatch"),
+            doc.get("error")), flush=True)
+    return status
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check-slow", action="store_true")
+    mode.add_argument("--write-slow", action="store_true")
+    args = parser.parse_args(argv)
+    if args.check_slow:
+        return check_slow()
+    if args.write_slow:
+        write(SLOW_DIGESTS, SLOW_COMMANDS)
+    else:
+        write(DIGESTS, COMMANDS)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,7 +3,8 @@
 Each command of tests/cli_digests.json runs in-process and must print
 exactly the recorded bytes and exit with the recorded code.  Regenerate
 the file with tests/make_cli_digests.py; a changed digest must be named
-and justified in CHANGES.md.
+and justified in CHANGES.md.  The commands of tests/cli_digests_slow.json
+are only listed here, and run by make_cli_digests.py --check-slow.
 """
 
 import json
@@ -11,7 +12,7 @@ import re
 
 import pytest
 
-from make_cli_digests import COMMANDS, DIGESTS, digest
+from make_cli_digests import COMMANDS, DIGESTS, SLOW_COMMANDS, SLOW_DIGESTS, digest
 
 RECORDED = json.loads(DIGESTS.read_text())
 
@@ -24,6 +25,11 @@ def _check(command, rc, text):
 
 def test_digests_cover_the_command_list():
     assert sorted(RECORDED) == sorted(COMMANDS)
+
+
+def test_slow_digests_cover_the_slow_command_list():
+    # the slow commands themselves run only under make_cli_digests.py --check-slow
+    assert sorted(json.loads(SLOW_DIGESTS.read_text())) == sorted(SLOW_COMMANDS)
 
 
 @pytest.mark.parametrize("command", sorted(RECORDED))

@@ -186,7 +186,13 @@ def test_table_algebra_idempotents_and_orthogonality():
     assert not alg.is_idempotent({0: F3.from_int(2)}) and not alg.is_idempotent(e12)
     assert alg.orthogonal(e11, e22) and alg.orthogonal(e12, e12)
     # e12 e11 = 0 but e11 e12 = e12
+    assert not alg.is_commutative()
     assert not alg.orthogonal(e12, e11) and not alg.orthogonal(e11, e12)
+    # the diagonal subalgebra commutes, so one product decides orthogonality
+    diag = TableAlgebra(F3, 2, lambda i, j: {i: one} if i == j else {})
+    assert diag.is_commutative()
+    assert diag.orthogonal({0: one}, {1: one})
+    assert not diag.orthogonal({0: one}, {0: one, 1: one})
 
 
 def test_kronecker_identities():

@@ -7,6 +7,7 @@ targets to add up to ``VERIFY_TARGETS``.
 """
 
 import json
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,35 @@ def test_presentation_gates_the_normal_basis_cardinality(target, corrupt, capsys
     assert rep["failures"] == [
         {"reason": "normal basis has wrong cardinality", "witness": size}
     ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("target", ["thm3.8", "thm4.9", "thm5.9"])
+def test_presentation_names_the_first_pair_the_rewrite_engine_gets_wrong(
+        target, n, capsys, monkeypatch):
+    # the first drawn product reduces to one more copy of the first normal
+    # monomial; every later reduction is left alone
+    corrupted = []
+
+    class Corrupted(green.PresentationSpec):
+        def reduce(self, poly):
+            out = super().reduce(poly)
+            if not corrupted:
+                corrupted.extend(poly)
+                out[self.normal_monomials[0]] = out.get(self.normal_monomials[0], 0) + 1
+            return out
+
+    monkeypatch.setattr(green, "PresentationSpec", Corrupted)
+    code, doc = run(capsys, ["verify", target, "--n", str(n)])
+    assert code == 1
+    rep = doc["reports"][0]
+    assert doc["status"] == rep["status"] == "fail"
+    assert all(r["holds"] for r in rep["relations"])
+    (failure,) = rep["failures"]
+    assert failure["reason"] == "rewrite engine disagrees with the fusion ring"
+    m1, m2 = failure["witness"]["first_pair"]
+    assert corrupted == [tuple(map(add, m1, m2))]
+    assert failure["witness"]["mismatches"] >= 1
 
 
 def test_integrals_target_gates_unimodularity(capsys, monkeypatch):
