@@ -213,6 +213,7 @@ class Algebra:
         self._pow_memo = {}
         self._pair_memo = {}
         self._idempotents = None
+        self._grade_certified = False
         self._radical = None
         self._radical_gens = None
         self._loewy = None
@@ -365,6 +366,47 @@ class Algebra:
         gb = (mono[0] * lam[(1, 0)] - mono[2] * lam[(2, 1)] - mono[3] * lam[(3, 1)]) % n
         gc = (mono[0] * lam[(2, 0)] + mono[1] * lam[(2, 1)] - mono[3] * lam[(3, 2)]) % n
         return (gb, gc)
+
+    def exponent_grade(self, mono, sign=1):
+        """The finest grade of a word with these exponents that the defining
+        relations respect; ``sign=-1`` gives its negation.
+
+        The basic families' relations are q-commutations, single words and
+        x^n - 1 for the cyclic letters x, so the grade is the exponent tuple
+        with the cyclic letters' entries in Z_n.  The deformed relation
+        da - q ad - p(1 - bc) ties a to d and b to c, so there the grade of
+        a^i b^j c^k d^l is (i - l, (j - k) mod n).  The grade is additive in
+        the exponents; ``certify_exponent_grade`` proves that the product
+        respects it.
+        """
+        n = self.n
+        if self.deformed:
+            return (sign * (mono[0] - mono[3]), sign * (mono[1] - mono[2]) % n)
+        return tuple(
+            sign * e % n if cyclic else sign * e for e, cyclic in zip(mono, self.cyclic)
+        )
+
+    def certify_exponent_grade(self):
+        """Prove, once, that every product is homogeneous for ``exponent_grade``.
+
+        Each term of L_t(m) = ``_lmul_gen(t, m)`` must have the grade of m
+        with one more letter t.  Every product is a composite of the L_t (see
+        the module docstring), so this proves grade(uv) = grade(u) + grade(v)
+        for every product.  Raise ArithmeticError naming t and m otherwise.
+        """
+        if self._grade_certified:
+            return
+        grade = self.exponent_grade
+        for t in range(self.num_letters):
+            for m in self.basis:
+                g = grade(m[:t] + (m[t] + 1,) + m[t + 1 :])
+                for m2 in self._lmul_gen(t, m):
+                    if grade(m2) != g:
+                        raise ArithmeticError(
+                            "%s * %r has the term %r outside the grade %r"
+                            % (self.letters[t], m, m2, g)
+                        )
+        self._grade_certified = True
 
     def weight_shift(self, name):
         """Weight shift of a module vector under a generator action."""

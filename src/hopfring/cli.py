@@ -217,12 +217,8 @@ def _loewy_for(H):
 
 
 def _quotient_ok(rep):
-    """The semisimple-quotient gate: True passes, False fails, and "not run"
-    passes only with the reason the report gives for it."""
-    verdict = rep["quotient_semisimple"]
-    if verdict == "not run":
-        return bool(rep.get("quotient_semisimple_reason"))
-    return verdict is True
+    """The semisimple-quotient gate: only True passes."""
+    return rep["quotient_semisimple"] is True
 
 
 def _radical_target(n, family, seed):

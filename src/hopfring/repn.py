@@ -678,20 +678,31 @@ def _basic_catalog(H):
 
 
 def _h1_discover_simples(H):
-    """Spin weight vectors killed by a until the semisimple budget is filled."""
+    """Spin weight vectors killed by a until the semisimple budget is filled.
+
+    A seed whose weight is that of an a-killed basis vector of a simple
+    already found is skipped.  The budget certifies the search: the found
+    simples' squared dimensions must add up to dim H / J, so a skip that
+    lost a simple raises.
+    """
     n = H.n
     J = jacobson_radical(H)
     budget = 0
     target = H.dim - J.dim
     es = H.group_idempotents()
     simples = []
+    covered = set()
     a_pow = H.monomial(((n - 1), 0, 0, 0))
+    sa = H.weight_shift("a")
     seeds = [
         (s, t, k) for s in range(n) for t in range(n) for k in range(n)
     ]
     for s, t, k in seeds:
         if budget >= target:
             break
+        # e(s, t) has weight (s, t), a moves it by sa and d^k acts on the right
+        if ((s + (n - 1) * sa[0]) % n, (t + (n - 1) * sa[1]) % n) in covered:
+            continue
         v = (a_pow * es[(s, t)]) * H.monomial((0, 0, 0, k))
         if v.is_zero():
             continue
@@ -704,6 +715,8 @@ def _h1_discover_simples(H):
             continue
         simples.append(M)
         budget += M.dim * M.dim
+        moved = set().union(*M.acts["a"].sparse_rows)  # columns a keeps nonzero
+        covered.update(w for i, w in enumerate(M.weights) if i not in moved)
     if budget != target:
         raise ModuleError(
             "simple search found %d of %d semisimple dimensions" % (budget, target)

@@ -1,17 +1,22 @@
 """Structural analysis of the four-generator algebras.
 
 Radicals are computed from the trace form of the regular representation,
-organised along the conjugation grading by the grouplike generators so
-that the Gram matrix splits into small blocks.  Integrals, the center,
-block decompositions and the block-isomorphism check all reduce to exact
-linear algebra on graded pieces.
+block by block along the finest grading the defining relations respect
+(``Algebra.exponent_grade``): a^i b^j c^k d^l has grade (i, j, k, l) with
+j, k in Z_n on the basic families, and (i - l, (j - k) mod n) on the
+deformed one.  ``Algebra.certify_exponent_grade`` proves the grading on the
+generator operators before the first Gram block is formed, and
+``fdalg.graded_radical`` pairs grade g only with grade -g.  Integrals, the
+center, block decompositions and the block-isomorphism check all reduce to
+exact linear algebra on graded pieces; the center is solved in conjugation
+grade zero, since it need not lie in exponent grade zero.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgElt
 from .cyclo import RAT, _sum_of_products
-from .fdalg import TableAlgebra, _form_matrix, trace_form
+from .fdalg import TableAlgebra, graded_radical
 from .hopf import hopf_maps
 from .linalg import Mat, SpanBuilder, Subspace, invert as _invert, kernel_basis
 
@@ -29,36 +34,24 @@ __all__ = [
 ]
 
 
-def _grade_classes(H):
-    classes = {}
-    for m in H.basis:
-        classes.setdefault(H.conj_grade(m), []).append(m)
-    return classes
+def _exponent_grade_pair(H):
+    """u -> (grade of u, its negation), the grading ``graded_radical`` reads."""
+    grade = H.exponent_grade
+    return lambda m: (grade(m), grade(m, -1))
 
 
 def jacobson_radical(H):
     """The radical as a canonical subspace of the PBW coordinate space.
 
-    Computed blockwise: the trace form pairs the conjugation grade g only
-    with grade -g, so the kernel decomposes along the grading.
+    Computed blockwise along ``exponent_grade``, once its certificate has
+    passed: the trace form pairs grade g only with grade -g, so the kernel
+    decomposes along the grading, and each block's rows are homogeneous.
     """
-    if H._radical is not None:
-        return H._radical
-    classes = _grade_classes(H)
-    # each Gram entry and each Tr(L_w) sweep needs its products once, so
-    # they bypass the pair memo
-    form = trace_form(H.field, H.basis, H._mono_product)
-    n = H.n
-    field = H.field
-    vectors = []
-    for grade, monos in classes.items():
-        ng = ((n - grade[0]) % n, (n - grade[1]) % n)
-        partners = classes.get(ng, [])
-        # one row per partner v, one column per u in monos
-        gram = _form_matrix(field, form, monos, partners).transpose()
-        for kv in kernel_basis(gram).rows:
-            vectors.append({H.index[monos[k]]: c for k, c in kv.items()})
-    H._radical = Subspace.from_vectors(field, H.dim, vectors)
+    if H._radical is None:
+        H.certify_exponent_grade()
+        # each Gram entry and each Tr(L_w) sweep needs its products once, so
+        # they bypass the pair memo
+        H._radical = graded_radical(H.field, H.basis, H._mono_product, _exponent_grade_pair(H))
     return H._radical
 
 
@@ -163,16 +156,13 @@ def _loewy_length(H):
     return len(_radical_power_dims(H)) + 1
 
 
-# the deformed quotient check is run up to this dimension (n <= 4)
-QUOTIENT_CHECK_MAX_DIM = 300
-
-
 def radical_report(H):
     """Radical dimensions, nilpotency and the semisimple-quotient check.
 
-    The quotient check runs at every size on the basic families and up to
-    ``QUOTIENT_CHECK_MAX_DIM`` on the deformed one; above it the report
-    says ``quotient_semisimple: "not run"`` and gives the reason.
+    The quotient H/J is graded on the complement monomials of J: J's
+    canonical rows are homogeneous, so reducing a homogeneous product
+    modulo J keeps it homogeneous, and the quotient's radical is computed
+    blockwise too.
     """
     J = jacobson_radical(H)
     report = {
@@ -186,21 +176,15 @@ def radical_report(H):
     if H.basic:
         expected = monomial_ideal_span(H, lambda m: m[0] + m[3] >= 1)
         report["equals_ideal_generated_by_a_d"] = J == expected
-    if not H.basic and H.dim > QUOTIENT_CHECK_MAX_DIM:
-        report["quotient_semisimple"] = "not run"
-        report["quotient_semisimple_reason"] = (
-            "run on deformed algebras up to dimension %d; this one has dimension %d"
-            % (QUOTIENT_CHECK_MAX_DIM, H.dim)
-        )
-    else:
-        comp = J.complement_indices()
+    comp = [H.basis[k] for k in J.complement_indices()]
+    grade = _exponent_grade_pair(H)
 
-        def product(i, j):
-            prod = H.mono_mul(H.basis[comp[i]], H.basis[comp[j]])
-            return J.quotient_coords({H.index[m]: c for m, c in prod.items()})
+    def product(i, j):
+        prod = H.mono_mul(comp[i], comp[j])
+        return J.quotient_coords({H.index[m]: c for m, c in prod.items()})
 
-        quo = TableAlgebra(H.field, len(comp), product)
-        report["quotient_semisimple"] = quo.radical().dim == 0
+    quo = TableAlgebra(H.field, len(comp), product, grade=lambda i: grade(comp[i]))
+    report["quotient_semisimple"] = quo.radical().dim == 0
     return report
 
 

@@ -115,16 +115,37 @@ def test_products_against_closed_forms(n):
         assert Topp.mono_mul(u, v) == _oracle_taft(Topp, u, v, -1)
 
 
-def test_hpq1_products_preserve_grading():
+@pytest.mark.parametrize("family,p", [("tensor_taft", None), ("hpq", 0), ("hpq", 1)])
+def test_products_preserve_the_exponent_grade(family, p):
+    # every one of the 81 x 81 basis products, not only the generator
+    # operators that the certificate reads
+    H = get(family, 3, p)
+    H.certify_exponent_grade()
+    for u in H.basis:
+        for v in H.basis:
+            expect = H.exponent_grade(tuple(x + y for x, y in zip(u, v)))
+            for m in H.mono_mul(u, v):
+                assert H.exponent_grade(m) == expect
+
+
+def test_exponent_grade_negation_and_coarseness():
+    for family, p in (("tensor_taft", None), ("hpq", 0), ("hpq", 1)):
+        H = get(family, 3, p)
+        zero = H.exponent_grade(H._unit)
+        for m in H.basis:
+            g, neg = H.exponent_grade(m), H.exponent_grade(m, -1)
+            for m2 in H.basis:
+                g2 = H.exponent_grade(m2)
+                # the negation is the grade that sums with g to zero
+                total = H.exponent_grade(tuple(x + y for x, y in zip(m, m2)))
+                assert (g2 == neg) == (total == zero)
+                # the conjugation grade factors through the exponent grade
+                if g2 == g:
+                    assert H.conj_grade(m2) == H.conj_grade(m)
     H = get("hpq", 3, 1)
-    rng = random.Random(7)
-    for _ in range(100):
-        u = H.basis[rng.randrange(H.dim)]
-        v = H.basis[rng.randrange(H.dim)]
-        gu, gv = H.conj_grade(u), H.conj_grade(v)
-        expect = ((gu[0] + gv[0]) % 3, (gu[1] + gv[1]) % 3)
-        for m in H.mono_mul(u, v):
-            assert H.conj_grade(m) == expect
+    assert H.exponent_grade((2, 1, 0, 1)) == (1, 1)
+    assert H.exponent_grade((2, 1, 0, 1), -1) == (-1, 2)
+    assert get("tensor_taft", 3).exponent_grade((2, 1, 0, 1), -1) == (-2, 2, 0, -1)
 
 
 def test_generator_nilpotency_and_order():

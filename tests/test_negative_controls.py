@@ -181,27 +181,24 @@ def test_algebra_verify_gates_the_quotient_at_n5(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("keep_reason", [True, False])
-def test_quotient_not_run_passes_only_with_its_reason(keep_reason, capsys, monkeypatch):
-    # lower the bound below dim 81, so the deformed n = 3 algebra skips the check
-    monkeypatch.setattr(structure, "QUOTIENT_CHECK_MAX_DIM", 80)
+def test_quotient_not_run_fails_the_gate(keep_reason, capsys, monkeypatch):
+    # the check runs at every size, so a report that skipped it fails,
+    # whatever reason it gives
     real = cli.radical_report
 
     def report(H):
         rep = real(H)
-        if not keep_reason:
-            del rep["quotient_semisimple_reason"]
+        rep["quotient_semisimple"] = "not run"
+        if keep_reason:
+            rep["quotient_semisimple_reason"] = "skipped"
         return rep
 
     monkeypatch.setattr(cli, "radical_report", report)
     code, doc = run(capsys, ["algebra", "verify", "--family", "hpq", "--p", "1", "--n", "3"])
     rep = next(r for r in doc["reports"] if r["check"] == "radical")
     assert rep["quotient_semisimple"] == "not run"
-    if keep_reason:
-        assert rep["quotient_semisimple_reason"] == (
-            "run on deformed algebras up to dimension 80; this one has dimension 81"
-        )
-    assert rep["status"] == ("pass" if keep_reason else "fail")
-    assert code == (0 if keep_reason else 1)
+    assert doc["status"] == rep["status"] == "fail"
+    assert code == 1
 
 
 def test_quotient_gate_reads_the_key():

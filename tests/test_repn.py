@@ -554,6 +554,33 @@ def test_spin_matches_module_from_vectors(n):
         assert M.acts == ref.acts
 
 
+def test_simple_search_skips_covered_weights(monkeypatch):
+    # a seed whose weight is an a-killed weight of a found simple is not
+    # spun: 18 spins for the 9 simples at n = 3, not one per nonzero seed
+    H = Algebra(AlgebraSpec("hpq", 3, 1))
+    calls = []
+    real = repn.spin_module
+
+    def counting(H, seeds, label=None):
+        calls.append(seeds)
+        return real(H, seeds, label)
+
+    monkeypatch.setattr(repn, "spin_module", counting)
+    simples = repn._h1_discover_simples(H)
+    assert [M.dim for M in simples] == [2, 3, 1, 3, 1, 2, 1, 2, 3]
+    assert len(calls) == 18
+
+
+def test_simple_search_fails_when_a_simple_is_lost(monkeypatch):
+    # the budget certifies the search: a simple that is never accepted, as
+    # a wrong skip would leave it, leaves dim H / J unfilled
+    H = Algebra(AlgebraSpec("hpq", 3, 1))
+    real = repn._is_simple
+    monkeypatch.setattr(repn, "_is_simple", lambda M: M.dim != 3 and real(M))
+    with pytest.raises(ModuleError, match="found 15 of 42 semisimple dimensions"):
+        repn._h1_discover_simples(H)
+
+
 def test_spin_fails_on_a_corrupt_regular_column():
     H = Algebra(AlgebraSpec("hpq", 3, 1))  # fresh: the corruption stays local
     e = H.group_idempotents()[(0, 0)]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hopfring import structure
@@ -17,6 +19,7 @@ from hopfring.structure import (
     radical_ideal_generators,
     radical_report,
 )
+from oracles import conj_grade_radical
 
 
 def get(family, n, p=None):
@@ -63,6 +66,66 @@ def test_radical_products_bypass_the_pair_memo(family, n, p):
     J = jacobson_radical(H)
     assert H._pair_memo == before
     assert J == _ungraded_radical(H)
+
+
+@pytest.mark.parametrize("family,p", [("tensor_taft", None), ("hpq", 0), ("hpq", 1)])
+def test_exponent_grade_radical_equals_conj_grade_radical(family, p):
+    # the old blocking by the coarser conjugation grade solves every block,
+    # partnerless or not, and lands on the same canonical rows
+    H = get(family, 4, p)
+    assert conj_grade_radical(H) == jacobson_radical(H)
+
+
+@pytest.mark.parametrize(
+    "family,p,t,m,extra",
+    [
+        # b * 1 gains c, of grade (0, 0, 1, 0) against (0, 1, 0, 0)
+        ("tensor_taft", None, 1, (0, 0, 0, 0), (0, 0, 1, 0)),
+        # d * a gains 1, which has the conjugation grade of ad but not its
+        # exponent grade
+        ("hpq", 0, 3, (1, 0, 0, 0), (0, 0, 0, 0)),
+        # d * a gains bc^2, of grade (0, 2) against (0, 0)
+        ("hpq", 1, 3, (1, 0, 0, 0), (0, 1, 2, 0)),
+    ],
+)
+def test_grade_certificate_names_a_bad_generator_product(family, p, t, m, extra):
+    H = Algebra(AlgebraSpec(family, 3, p))
+    # the build filled the memo, and a corrupted entry is read as it stands
+    H._gen_memo[(t, m)] = {**H._gen_memo[(t, m)], extra: H.field.one}
+    with pytest.raises(ArithmeticError, match=r"%s \* %s has the term %s" % (
+        H.letters[t], re.escape(repr(m)), re.escape(repr(extra)))):
+        jacobson_radical(H)
+    assert H._radical is None
+
+
+def test_graded_quotient_radical_equals_ungraded():
+    # the hpq p = 1 n = 3 quotient H/J, graded by its complement monomials
+    H = get("hpq", 3, 1)
+    J = jacobson_radical(H)
+    comp = [H.basis[k] for k in J.complement_indices()]
+
+    def product(i, j):
+        prod = H.mono_mul(comp[i], comp[j])
+        return J.quotient_coords({H.index[m]: c for m, c in prod.items()})
+
+    def grade(i):
+        return (H.exponent_grade(comp[i]), H.exponent_grade(comp[i], -1))
+
+    graded = TableAlgebra(H.field, len(comp), product, grade=grade)
+    ungraded = TableAlgebra(H.field, len(comp), product)
+    assert graded.radical() == ungraded.radical() == Subspace.zero(H.field, len(comp))
+    # a graded table with a radical: the basic n = 3 algebra's own, whose
+    # radical is the a, d ideal (its ungraded table gives the same, above)
+    B = get("tensor_taft", 3)
+
+    def bproduct(i, j):
+        return {B.index[m]: c for m, c in B.mono_mul(B.basis[i], B.basis[j]).items()}
+
+    def bgrade(i):
+        return (B.exponent_grade(B.basis[i]), B.exponent_grade(B.basis[i], -1))
+
+    graded = TableAlgebra(B.field, B.dim, bproduct, grade=bgrade).radical()
+    assert graded == jacobson_radical(B) and graded.dim == 72
 
 
 def test_radical_h1_dimension():
