@@ -70,6 +70,10 @@ COMMANDS = (
     # whose algebra-element products are dense sums of idempotents
     + ["verify %s --n 4" % target for target in ("quiver4", "prop4.6", "prop4.1")]
     + ["verify blocks --family hpq --p 0 --n 4"]
+    # the module constructors and the central-idempotent census past n = 3
+    + ["export --what modules %s --n 4" % fam
+       for fam in ("--family tensor-taft", "--family hpq --p 0")]
+    + ["verify cor3.5 --n 4", "verify blocks --family hpq --p 0 --n 5"]
 )
 
 SLOW_COMMANDS = [
