@@ -137,9 +137,16 @@ def _wrap(args, command, reports):
 
 
 def _require_abcd(family_key, what):
-    """Reject the Taft factors, which have no conjugation grading."""
+    """Reject the Taft factors, which have no conjugation grading and no
+    module catalog."""
     if family_key in ("taft", "taft_opp"):
         raise CliError("%s applies to the families tensor-taft and hpq" % what)
+
+
+def _require_fusion(family_key, what):
+    """Reject the families that have no closed-form fusion rules."""
+    if family_key not in ("tensor_taft", "hpq0", "hpq1"):
+        raise CliError("%s applies to tensor-taft and hpq with p in {0, 1}" % what)
 
 
 def _blocks_check(H, family_key):
@@ -390,6 +397,7 @@ def cmd_modules_list(args):
     from .repn import module_catalog
 
     family_key = _family_key(args.family, args.p)
+    _require_abcd(family_key, "modules list")
     H = _build(family_key, args.n)
     cat = module_catalog(H, seed=args.seed)
     simples = [
@@ -409,8 +417,7 @@ def cmd_modules_list(args):
 
 def cmd_fuse(args):
     family_key = _family_key(args.family, args.p)
-    if family_key not in ("tensor_taft", "hpq0", "hpq1"):
-        raise CliError("fusion applies to tensor-taft and hpq with p in {0, 1}")
+    _require_fusion(family_key, "fuse")
     a = parse_label(args.a, family_key, args.n)
     b = parse_label(args.b, family_key, args.n)
     reports = []
@@ -440,8 +447,7 @@ def cmd_fuse(args):
 
 def cmd_table(args):
     family_key = _family_key(args.family, args.p)
-    if family_key not in ("tensor_taft", "hpq0", "hpq1"):
-        raise CliError("fusion tables apply to tensor-taft and hpq with p in {0, 1}")
+    _require_fusion(family_key, "table")
     try:
         table = fusion_table(family_key, args.n, args.mode)
     except FusionMismatch as exc:
@@ -461,6 +467,7 @@ def cmd_export(args):
     elif args.what == "modules":
         from .repn import module_catalog
 
+        _require_abcd(family_key, "export --what modules")
         H = _build(family_key, args.n)
         cat = module_catalog(H, seed=args.seed)
         doc = {
@@ -470,6 +477,7 @@ def cmd_export(args):
             },
         }
     elif args.what == "table":
+        _require_fusion(family_key, "export --what table")
         table = fusion_table(family_key, args.n, "closed_form")
         doc = table.to_json()
     else:

@@ -248,14 +248,13 @@ def _closed_form_deformed(n, A, B):
 class FusionTable:
     """All pairwise products of basis classes, with provenance and checks."""
 
-    def __init__(self, family, n, mode, labels, entries, coverage=None, computed=None):
+    def __init__(self, family, n, mode, labels, entries, coverage=None):
         self.family = family
         self.n = n
         self.mode = mode
         self.labels = labels
         self.entries = entries  # (labelA, labelB) -> dict label -> int
         self.coverage = coverage or {}
-        self.computed_entries = computed
         self.one = Label("V", 1, 0) if family == "hpq1" else Label("S", 0, 0)
 
     def mul(self, x, y):
@@ -362,7 +361,7 @@ def fusion_table(family, n, mode="closed_form"):
             raise FusionMismatch(family, n, key, closed[key], computed[key])
     if mode == "computed":
         return FusionTable(family, n, mode, labels, computed, coverage)
-    return FusionTable(family, n, "crosscheck", labels, closed, coverage, computed)
+    return FusionTable(family, n, "crosscheck", labels, closed, coverage)
 
 
 # -- presentations ----------------------------------------------------------

@@ -4,11 +4,12 @@ A module carries one sparse-row ``Mat`` per generator, from the build
 through the tensor products to the relation check, which runs on
 construction.  The grouplikes b, c act semisimply with root-of-unity
 eigenvalues, so every module has a weight decomposition, which collapses
-the Hom-space and multiplicity computations to small block systems.  The
-H_n(1,q) catalog is found by spinning weight vectors with the regular
-module's sparse columns and splitting each H e(i,j); its pieces, their
-layers and their products keep b and c diagonal, so weights are read off
-the diagonals and eigen-solved only for other modules.
+the Hom-space and multiplicity computations to small block systems.  Every
+module reads its weights off b and c, where both act diagonally by powers
+of q: the catalogs, their layers, pieces and tensor products all do.  Only
+a module whose b or c is not diagonal takes the eigen route.  The H_n(1,q)
+catalog is found by spinning weight vectors with the regular module's
+sparse columns and splitting each H e(i,j).
 
 Decomposition into simples and projectives is by Hom counting: with
 t = top multiplicities, c = composition multiplicities and C the Cartan
@@ -67,14 +68,19 @@ def check_module_relations(H, acts):
 
 
 class Module:
-    """An exact matrix representation of one of the abcd algebras."""
+    """An exact matrix representation of one of the abcd algebras.
 
-    def __init__(self, H, acts, label=None, weights=None, check=True):
+    ``weights`` holds each basis vector's (i, j) when b and c act on it by
+    q^i and q^j, read off their diagonals; it is None when either is not
+    diagonal by powers of q.
+    """
+
+    def __init__(self, H, acts, label=None, check=True):
         self.algebra = H
         self.acts = acts  # dict generator name -> Mat
         self.dim = acts["a"].rows if acts else 0
         self.label = label
-        self.weights = weights  # per-basis-vector (i, j) when the basis is a weight basis
+        self.weights = _diagonal_weights(self)
         self._weightized = None
         self._mono_act = {}
         self._radical_mats = None
@@ -86,19 +92,6 @@ class Module:
                 raise ModuleError(
                     "module %r violates relations: %s" % (label, ", ".join(bad))
                 )
-            if weights is not None:
-                self._verify_weights()
-
-    def _verify_weights(self):
-        """b and c must act on basis vector i by exactly q^(weight i)."""
-        q_pow = self.algebra.field.q_pow
-        ok = len(self.weights) == self.dim and all(
-            row == {i: q_pow(w[pos])}
-            for pos, name in enumerate(("b", "c"))
-            for i, (row, w) in enumerate(zip(self.acts[name].sparse_rows, self.weights))
-        )
-        if not ok:
-            raise ModuleError("declared weights are not a weight basis for %r" % (self.label,))
 
     def act_elt(self, elt):
         """Matrix of an algebra element (cached per PBW monomial)."""
@@ -167,21 +160,20 @@ def simple_S(i, j, H):
         "b": Mat(f, 1, 1, [{0: f.q_pow(i)}]),
         "c": Mat(f, 1, 1, [{0: f.q_pow(j)}]),
     }
-    return Module(H, acts, label=Label("S", i % n, j % n), weights=[(i % n, j % n)])
+    return Module(H, acts, label=Label("S", i % n, j % n))
 
 
 def module_from_vectors(H, vectors, label=None):
     """Submodule of the regular module on the given independent AlgElt basis.
 
-    Each basis vector must be a weight vector; action matrices are taken in
-    that basis, so the result carries weight data.
+    Action matrices are taken in that basis, so when each vector is a
+    weight vector the result reads its weights off b and c.
     """
     span = SpanBuilder(H.field, H.dim)
     for v in vectors:
         if not span.insert(v.as_row()):
             raise ModuleError("generating vectors are dependent")
     sub = span.to_subspace()
-    weights = [_left_weight(H, v) for v in vectors]
     d = sub.dim
     # coordinates of g*v_k in the chosen basis, through the echelon coordinates
     cob = Mat(H.field, d, d, [sub.coords(v.as_row()) for v in vectors]).transpose()
@@ -191,7 +183,7 @@ def module_from_vectors(H, vectors, label=None):
         g = H.gen(name)
         cols = [sub.coords((g * v).as_row()) for v in vectors]
         acts[name] = cobinv * Mat(H.field, d, d, cols).transpose()
-    return Module(H, acts, label=label, weights=weights)
+    return Module(H, acts, label=label)
 
 
 def projective_P(i, j, H):
@@ -244,7 +236,9 @@ def tensor_module(M, N, check=True):
 
     Generator t acts as the sum of c * kron(l, r) over the terms of
     ``HopfMaps._delta_gen[t]``, whose legs are the unit (passed to
-    ``kronecker`` as the module's dimension) or one generator."""
+    ``kronecker`` as the module's dimension) or one generator.  The
+    grouplikes act by kron(b, b) and kron(c, c), so the product of two
+    weight modules reads its weights off them like any module."""
     H = M.algebra
     if N.algebra is not H:
         raise ModuleError("tensor factors live over different algebras")
@@ -260,18 +254,10 @@ def tensor_module(M, N, check=True):
         for (l, r), c in maps._delta_gen[t].items():
             act.add_scaled(c, kronecker(leg(M, l), leg(N, r)))
         acts[name] = act
-    weights = None
-    if M.weights is not None and N.weights is not None:
-        n = H.n
-        weights = [
-            ((wm[0] + wn[0]) % n, (wm[1] + wn[1]) % n)
-            for wm in M.weights
-            for wn in N.weights
-        ]
     label = None
     if M.label is not None and N.label is not None:
         label = "%s(x)%s" % (M.label, N.label)
-    return Module(H, acts, label=label, weights=weights, check=check)
+    return Module(H, acts, label=label, check=check)
 
 
 def weight_decomposition(M):
@@ -320,33 +306,22 @@ def _diagonal_weights(M):
 def weightized(M):
     """A weight-basis form of M and the change of basis (P, Pinv) to it.
 
-    Where b and c act diagonally by powers of q (catalog pieces, their
-    layers and products) the form shares M's matrices and P is None.
-    Otherwise P holds the weight spaces' echelon bases in weight order; on
-    a diagonal module it would sort the basis stably by weight, so
-    ``hom_dim`` sets up the same equations either way.
+    A module with weights is its own form, and P is None.  Otherwise P
+    holds the weight spaces' echelon bases in weight order, and the form
+    reads its weights off its now diagonal b and c; on a diagonal module
+    this would sort the basis stably by weight, so ``hom_dim`` sets up the
+    same equations either way.
     """
     if M.weights is not None:
         return M, None
-    if M._weightized is not None:
-        return M._weightized
-    H = M.algebra
-    weights = _diagonal_weights(M)
-    if weights is not None:
-        M._weightized = (Module(H, M.acts, label=M.label, weights=weights, check=False), None)
-        return M._weightized
-    f = H.field
-    wd = weight_decomposition(M)
-    cols = []
-    weights = []
-    for w in sorted(wd):
-        cols.extend(wd[w].rows)
-        weights.extend([w] * wd[w].dim)
-    p = Mat(f, len(cols), M.dim, cols).transpose()
-    pinv = invert(p)
-    acts = {name: pinv * M.acts[name] * p for name in M.acts}
-    out = Module(H, acts, label=M.label, weights=weights, check=False)
-    M._weightized = (out, (p, pinv))
+    if M._weightized is None:
+        H = M.algebra
+        wd = weight_decomposition(M)
+        cols = [row for w in sorted(wd) for row in wd[w].rows]
+        p = Mat(H.field, len(cols), M.dim, cols).transpose()
+        pinv = invert(p)
+        acts = {name: pinv * M.acts[name] * p for name in M.acts}
+        M._weightized = (Module(H, acts, label=M.label, check=False), (p, pinv))
     return M._weightized
 
 
@@ -455,7 +430,7 @@ def _weight_dims(M):
 def submodule_restriction(M, sub):
     """M restricted to an invariant subspace, as a module on its echelon basis."""
     acts = {name: restrict_operator(M.acts[name], sub) for name in M.acts}
-    return Module(M.algebra, acts, label=None, weights=None, check=False)
+    return Module(M.algebra, acts, check=False)
 
 
 def radical_submodule(M, sub=None):
@@ -513,7 +488,8 @@ def spin_module(H, seeds, label=None):
     weight space, so only the seeds' weights are computed.  The basis is
     each weight space's canonical echelon rows, in weight order, and each
     action column is read off the target weight space's rows; the Module
-    check then proves the relations and the declared weights.
+    check then proves the relations, and the module reads its weights off
+    its diagonal b and c.
     """
     f = H.field
     if H._regular_cols is None:  # row j of each is the column L_g e_j
@@ -556,7 +532,7 @@ def spin_module(H, seeds, label=None):
                 col = {offset[w2] + i: c for i, c in coords.items()}
             columns.append(col)
         acts[name] = Mat(f, k, k, columns).transpose()
-    return Module(H, acts, label=label, weights=weights)
+    return Module(H, acts, label=label)
 
 
 def _left_weight(H, v):
@@ -762,13 +738,6 @@ def _h1_discover_pims(H, simples):
     return covers
 
 
-def _restrict_to_image(E, mat):
-    """E restricted to the image of an idempotent endomorphism."""
-    sub = column_space(mat)
-    acts = {name: restrict_operator(E.acts[name], sub) for name in E.acts}
-    return Module(E.algebra, acts, check=False)
-
-
 def _split_summands(E, simples):
     """Recursive direct-sum decomposition into pieces with simple tops."""
     H = E.algebra
@@ -836,8 +805,8 @@ def _split_summands(E, simples):
         eta = (eta * eta) * (eye.scale(f.from_int(3)) - eta.scale(f.from_int(2)))
     else:
         raise ModuleError("idempotent lifting did not converge")
-    piece = _restrict_to_image(E, eta)
-    rest = _restrict_to_image(E, eye - eta)
+    piece = submodule_restriction(E, column_space(eta))
+    rest = submodule_restriction(E, column_space(eye - eta))
     if piece.dim + rest.dim != E.dim or piece.dim == 0 or rest.dim == 0:
         raise ModuleError("idempotent splitting is degenerate")
     return _split_summands(piece, simples) + _split_summands(rest, simples)

@@ -341,14 +341,15 @@ def center_and_blocks(H):
             == _sum_elts(H, [grp[((i + j) % n, j)] for j in range(n)])
             for i in range(n)
         )
-        ok_central = all(Z.contains(e.as_row()) for e in es)
+        outside = [i for i, e in enumerate(es) if not Z.contains(e.as_row())]
         ok_idem = all(e * e == e for e in es)
         ok_orth = all(
             (es[i] * es[j]).is_zero() for i in range(n) for j in range(n) if i != j
         )
         ok_complete = _sum_elts(H, es) == H.one
         prim = []
-        for e in es:
+        # primitivity is asked of the center's idempotents only
+        for e in ([] if outside else es):
             ecoords = Z.coords(e.as_row())
             ideal = zalg.ideal_span([ecoords])
             sub_elems = ideal.rows
@@ -360,12 +361,14 @@ def center_and_blocks(H):
             prim.append(ideal.dim - block.radical().dim == 1)
         report["central_idempotents"] = {
             "matches_group_idempotent_sums": agree,
-            "central": ok_central,
+            "central": not outside,
             "idempotent": ok_idem,
             "orthogonal": ok_orth,
             "complete": ok_complete,
-            "primitive": all(prim),
+            "primitive": not outside and all(prim),
         }
+        if outside:  # the witness, kept out of the flags that the gate reads
+            report["first_non_central_idempotent"] = outside[0]
     return report
 
 

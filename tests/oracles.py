@@ -26,7 +26,8 @@ def conj_grade_radical(H):
 
 
 def conjugated_module(M, seed):
-    """M rewritten in a random basis (drops weight data; used as an oracle)."""
+    """M rewritten in a random basis, where b and c are in general not
+    diagonal (used as an oracle)."""
     rng = random.Random(seed)
     H = M.algebra
     f = H.field
@@ -40,4 +41,4 @@ def conjugated_module(M, seed):
         except ValueError:
             continue
     acts = {name: pinv * M.acts[name] * p for name in M.acts}
-    return Module(H, acts, label=M.label, weights=None, check=False)
+    return Module(H, acts, label=M.label, check=False)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from hopfring import green
 from hopfring.algebra import AlgebraSpec, build_algebra
 from hopfring.green import (
     class_algebra_radical,
@@ -150,15 +151,25 @@ def test_criterion2_structure_facts(n):
     )
 
 
-def test_criterion3_fusion_oracle_n3():
+def test_criterion3_fusion_oracle_n3(monkeypatch):
+    # every matrix-oracle product the crosscheck computes, by label pair
+    computed = {}
+    real = green.computed_fusion
+
+    def recorded(cat, a, b):
+        computed[(a, b)] = real(cat, a, b)
+        return computed[(a, b)]
+
+    monkeypatch.setattr(green, "computed_fusion", recorded)
     with timer(3) as t:
         sizes = {}
         agree = True
         for fam in ("tensor_taft", "hpq0", "hpq1"):
+            computed.clear()
             table = fusion_table(fam, 3, "crosscheck")
             sizes[fam] = len(table.entries)
             agree = agree and table.mode == "crosscheck"
-            agree = agree and table.computed_entries == table.entries
+            agree = agree and computed == table.entries
         ok = agree and sizes == {"tensor_taft": 324, "hpq0": 324, "hpq1": 225}
     report("3a: fusion oracle equivalence, n=3, three grids", ok, "%.1fs" % t.dt)
 

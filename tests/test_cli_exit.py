@@ -28,12 +28,29 @@ def _python(*args):
 
 @pytest.mark.parametrize("command", [
     "verify thm3.8 --n 4",                            # passes
-    "export --what modules --family taft --n 3",     # a check fails
+    "export --what modules --family taft --n 3",     # rejected up front
 ])
 def test_process_exit_code_and_stdout_match_the_digest(command):
     proc = _python("-m", "hopfring.cli", *command.split())
     assert {"exit_code": proc.returncode,
             "sha256": hashlib.sha256(proc.stdout).hexdigest()} == RECORDED[command]
+
+
+def test_process_exit_code_when_a_check_fails():
+    # the non-central census control of verify blocks, in a fresh interpreter
+    script = "\n".join([
+        "import sys",
+        "from hopfring import cli, structure",
+        "real = structure._central_idempotents_H0",
+        "structure._central_idempotents_H0 = (",
+        "    lambda H: [H.group_idempotents()[(0, 0)]] + real(H)[1:])",
+        "sys.exit(cli.main(['verify', 'blocks', '--family', 'hpq', '--p', '0', '--n', '3']))",
+    ])
+    proc = _python("-c", script)
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "fail"
+    assert doc["reports"][0]["first_non_central_idempotent"] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -159,7 +159,7 @@ def test_covers_target_gates_simple_tops(capsys, monkeypatch):
     lab = cat.labels[0]
     P = cat.pims[lab]
     acts = dict(P.acts, a=Mat.zeros(H.field, P.dim, P.dim))
-    broken = Module(H, acts, label=P.label, weights=P.weights, check=False)
+    broken = Module(H, acts, label=P.label, check=False)
     monkeypatch.setitem(cat.pims, lab, broken)
     code, doc = run(capsys, ["verify", "cor3.5", "--n", "3"])
     assert code == 1
@@ -231,6 +231,28 @@ def test_blocks_gate_the_central_idempotent_census(argv, capsys, monkeypatch):
     assert not census["idempotent"] and not census["complete"]
     assert not census["matches_group_idempotent_sums"]
     assert census["central"] and census["orthogonal"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "blocks", "--family", "hpq", "--p", "0", "--n", "3"],
+    ["algebra", "verify", "--family", "hpq", "--p", "0", "--n", "3"],
+])
+def test_blocks_name_a_non_central_census_idempotent(argv, capsys, monkeypatch):
+    # the group idempotent e(0,0) in place of e_0 is idempotent but not
+    # central, since a and d move its weight
+    real = structure._central_idempotents_H0
+
+    def first_grouplike(H):
+        return [H.group_idempotents()[(0, 0)]] + real(H)[1:]
+
+    monkeypatch.setattr(structure, "_central_idempotents_H0", first_grouplike)
+    code, doc = run(capsys, argv)
+    assert code == 1
+    assert doc["status"] == "fail"
+    rep = doc["reports"][-1]
+    assert rep["status"] == "fail"
+    assert rep["central_idempotents"]["central"] is False
+    assert rep["first_non_central_idempotent"] == 0
 
 
 @pytest.mark.parametrize("target", ["prop3.9", "prop4.10"])

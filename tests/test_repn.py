@@ -635,22 +635,63 @@ def test_catalog_and_products_read_diagonal_weights(monkeypatch):
     assert calls
 
 
-def test_weight_forms_agree_with_the_eigen_route(monkeypatch):
+def test_weight_forms_agree_with_the_eigen_route():
     H = get("hpq", 3, 1)
     cat = module_catalog(H)
     P, S = cat.pims[Label("V", 1, 0)], cat.simples[Label("V", 2, 1)]
 
-    def homs():
+    def homs(eigen):
         T = tensor_module(P, S)
+        if eigen:  # forget the weights read off T, so T alone is eigen-solved
+            T.weights = None
         spaces = [hom_dim(T, T), hom_dim(P, T), hom_dim(T, S)]
         return [(h.dim, h.intertwiners()) for h in spaces], weightized(T)[1]
 
-    fast, fast_tr = homs()
-    monkeypatch.setattr(repn, "_diagonal_weights", lambda M: None)
-    slow, slow_tr = homs()
+    fast, fast_tr = homs(False)
+    slow, slow_tr = homs(True)
     assert fast_tr is None and slow_tr is not None
     assert fast == slow
     assert all(dim for dim, _ in fast)
+
+
+def _catalog_and_products(family, n, p):
+    """Every catalog simple and cover, and the four products of a simple
+    and a cover with each other."""
+    cat = module_catalog(get(family, n, p))
+    factors = [cat.simples[cat.labels[-1]], cat.pims[cat.labels[1]]]
+    products = [tensor_module(x, y, check=False) for x in factors for y in factors]
+    return [*cat.simples.values(), *cat.pims.values(), *products]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family, p", [("tensor_taft", None), ("hpq", 0), ("hpq", 1)])
+def test_read_weights_lie_in_the_eigen_solved_weight_spaces(family, p, n):
+    # the weights read off b and c against an independent eigen-solve
+    for M in _catalog_and_products(family, n, p):
+        assert M.weights is not None and len(M.weights) == M.dim
+        wd = weight_decomposition(M)
+        one = M.algebra.field.one
+        for i, w in enumerate(M.weights):
+            assert wd[w].contains({i: one}), (M.label, i, w)
+
+
+def test_weights_are_none_off_the_diagonal():
+    H = get("hpq", 3, 1)
+    f = H.field
+    assert regular_representation(H).weights is None
+    cat = module_catalog(H)
+    M = tensor_module(cat.simples[Label("V", 2, 0)], cat.pims[Label("V", 2, 1)])
+    assert M.weights is not None
+    assert all(conjugated_module(M, seed).weights is None for seed in range(5))
+
+    def diagonal(*b):
+        acts = {"a": Mat.zeros(f, 2, 2), "d": Mat.zeros(f, 2, 2),
+                "b": mat_from_rows(f, [[b[0], f.zero], [f.zero, b[1]]]),
+                "c": Mat.identity(f, 2)}
+        return Module(H, acts, check=False)
+
+    assert diagonal(f.one, -f.one).weights is None  # -1 is no power of q at n = 3
+    assert diagonal(f.one, f.q).weights == [(0, 0), (1, 0)]
 
 
 def test_a_diagonal_minus_one_takes_the_eigen_route(monkeypatch):
