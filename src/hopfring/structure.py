@@ -348,7 +348,7 @@ def center_and_blocks(H):
         )
         ok_complete = _sum_elts(H, es) == H.one
         prim = []
-        # primitivity is asked of the center's idempotents only
+        # only central elements have center coordinates to test primitivity on
         for e in ([] if outside else es):
             ecoords = Z.coords(e.as_row())
             ideal = zalg.ideal_span([ecoords])

@@ -155,6 +155,7 @@ def test_tensor_of_simples_adds_weights():
 def test_weight_decomposition_of_regular_module():
     H = get("tensor_taft", 3)
     reg = regular_representation(H)
+    assert reg.weights is None  # b and c move the PBW basis
     wd = weight_decomposition(reg)
     assert sorted(wd) == [(i, j) for i in range(3) for j in range(3)]
     assert all(sub.dim == 9 for sub in wd.values())
@@ -675,25 +676,6 @@ def test_read_weights_lie_in_the_eigen_solved_weight_spaces(family, p, n):
             assert wd[w].contains({i: one}), (M.label, i, w)
 
 
-def test_weights_are_none_off_the_diagonal():
-    H = get("hpq", 3, 1)
-    f = H.field
-    assert regular_representation(H).weights is None
-    cat = module_catalog(H)
-    M = tensor_module(cat.simples[Label("V", 2, 0)], cat.pims[Label("V", 2, 1)])
-    assert M.weights is not None
-    assert all(conjugated_module(M, seed).weights is None for seed in range(5))
-
-    def diagonal(*b):
-        acts = {"a": Mat.zeros(f, 2, 2), "d": Mat.zeros(f, 2, 2),
-                "b": mat_from_rows(f, [[b[0], f.zero], [f.zero, b[1]]]),
-                "c": Mat.identity(f, 2)}
-        return Module(H, acts, check=False)
-
-    assert diagonal(f.one, -f.one).weights is None  # -1 is no power of q at n = 3
-    assert diagonal(f.one, f.q).weights == [(0, 0), (1, 0)]
-
-
 def test_a_diagonal_minus_one_takes_the_eigen_route(monkeypatch):
     calls = _count_eigen_solves(monkeypatch)
     H = get("hpq", 3, 1)
@@ -704,6 +686,8 @@ def test_a_diagonal_minus_one_takes_the_eigen_route(monkeypatch):
         "b": mat_from_rows(f, [[f.one, f.zero], [f.zero, -f.one]]),
         "c": Mat.identity(f, 2),
     }
+    M = Module(H, acts, check=False)
+    assert M.weights is None  # -1 is no power of q at n = 3
     with pytest.raises(ModuleError):
-        weightized(Module(H, acts, check=False))
+        weightized(M)
     assert calls == [2]
