@@ -291,10 +291,10 @@ def test_algebra_verify_rejects_taft_factors(capsys):
     assert main(["verify", "blocks", "--family", "taft", "--n", "3"]) == 2
     # the module catalogs and the fusion tables are rejected up front too,
     # with nothing on stdout
-    for family in (["taft"], ["taft-opp"]):
+    for family in ("taft", "taft-opp"):
         for command in (["modules", "list"], ["export", "--what", "modules"],
                         ["export", "--what", "table"]):
-            assert main(command + ["--family", *family, "--n", "3"]) == 2
+            assert main(command + ["--family", family, "--n", "3"]) == 2
             out, err = capsys.readouterr()
             assert out == "" and "tensor-taft and hpq" in err
     for p in ("2", "-1", "1/2"):
