@@ -16,11 +16,10 @@ import os
 import sys
 import time
 
-from .algebra import AlgebraSpec, build_algebra
 from .cyclo import RAT
 from .green import (
     FusionMismatch,
-    algebra_for_family,
+    algebra_for_family as _build,
     class_algebra_radical,
     closed_form_fusion,
     computed_fusion,
@@ -46,30 +45,18 @@ class CliError(Exception):
 
 
 def _family_key(family, p):
-    if family == "tensor-taft":
-        return "tensor_taft"
-    if family == "taft":
-        return "taft"
-    if family == "taft-opp":
-        return "taft_opp"
-    if family == "hpq":
-        if p is None:
-            raise CliError("family hpq needs --p")
+    """The key ``algebra_for_family`` takes, from --family and --p."""
+    if p is not None and family != "hpq":
+        raise CliError("--p applies only to --family hpq")
+    if family in ("tensor-taft", "taft", "taft-opp"):
+        return family.replace("-", "_")
+    if p is None:
+        raise CliError("family hpq needs --p")
+    try:
         pr = RAT(p)
-        if pr == 0:
-            return "hpq0"
-        if pr == 1:
-            return "hpq1"
-        return ("hpq", p)
-    raise CliError("unknown family %r" % (family,))
-
-
-def _build(family_key, n):
-    if isinstance(family_key, tuple):
-        return build_algebra(AlgebraSpec("hpq", n, RAT(family_key[1])))
-    if family_key in ("tensor_taft", "taft", "taft_opp"):
-        return build_algebra(AlgebraSpec(family_key, n))
-    return algebra_for_family(family_key, n)
+    except (ValueError, ZeroDivisionError):
+        raise CliError("--p must be a rational number, got %r" % (p,)) from None
+    return {0: "hpq0", 1: "hpq1"}.get(pr, ("hpq", pr))
 
 
 def _timed(args, check):
@@ -83,12 +70,13 @@ def _timed(args, check):
 
 
 def _emit(doc, args):
-    if args.format == "json":
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    elif args.format == "csv":
-        text = doc.get("csv", "") if isinstance(doc, dict) else str(doc)
-    else:
+    if args.format == "text":
         text = _render_text(doc) + "\n"
+    elif args.format == "csv" and "csv" in doc:
+        text = doc["csv"]
+    else:
+        # JSON, also for a failure under --format csv, which has no CSV form
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     out = args.output
     if out:
         base_dir = os.environ.get("HOPFRING_OUT_DIR")
@@ -175,7 +163,7 @@ def _fusion_subset(predicate):
     def run(n, family, seed):
         from .repn import module_catalog
 
-        cat = module_catalog(algebra_for_family(family, n))
+        cat = module_catalog(_build(family, n))
         labels = basis_labels(family, n)
         checked = 0
         for a in labels:
@@ -340,7 +328,7 @@ def cmd_verify(args):
         )
     default_family, runner = _TARGETS[target]
     family_key = default_family
-    if args.family:
+    if args.family or args.p is not None:
         family_key = _family_key(args.family, args.p)
         if default_family and family_key != default_family:
             raise CliError(
@@ -445,6 +433,11 @@ def cmd_fuse(args):
     return _wrap(args, "fuse", reports)
 
 
+def _csv_doc(table):
+    """A passing document whose ``--format csv`` rendering is the table."""
+    return {"schema_version": SCHEMA_VERSION, "status": "pass", "csv": table.to_csv()}
+
+
 def cmd_table(args):
     family_key = _family_key(args.family, args.p)
     _require_fusion(family_key, "table")
@@ -452,10 +445,10 @@ def cmd_table(args):
         table = fusion_table(family_key, args.n, args.mode)
     except FusionMismatch as exc:
         return _wrap(args, "table", [exc.report()])
+    if args.format == "csv":
+        return _csv_doc(table)
     doc = table.to_json()
     doc["status"] = "pass"
-    if args.format == "csv":
-        return {"schema_version": SCHEMA_VERSION, "status": "pass", "csv": table.to_csv()}
     return _wrap(args, "table", [doc])
 
 
@@ -479,6 +472,8 @@ def cmd_export(args):
     elif args.what == "table":
         _require_fusion(family_key, "export --what table")
         table = fusion_table(family_key, args.n, "closed_form")
+        if args.format == "csv":
+            return _csv_doc(table)
         doc = table.to_json()
     else:
         raise CliError("unknown export kind %r" % (args.what,))
@@ -549,6 +544,8 @@ def main(argv=None):
     try:
         if args.n < 3:
             raise CliError("the order n must be at least 3")
+        if args.format == "csv" and "table" not in (args.command, getattr(args, "what", None)):
+            raise CliError("--format csv applies only to table and export --what table")
         if args.command == "algebra":
             doc = cmd_algebra_verify(args)
         elif args.command == "modules":

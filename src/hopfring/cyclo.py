@@ -27,7 +27,6 @@ numerators never leave it.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -80,12 +79,6 @@ def cyclotomic_polynomial(n):
             if rem:
                 raise ArithmeticError("cyclotomic division not exact")
     return num
-
-
-def _from_fractions(field, coeffs):
-    """CycloNum with the given rational coordinates (Fractions or ints)."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return _reduced(field, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 def _reduced(field, nums, den):
@@ -300,52 +293,9 @@ class CycloField:
         r = RAT(r)
         return _reduced(self, (r.numerator,) + (0,) * (self.phi - 1), r.denominator)
 
-    def element(self, coeffs):
-        coeffs = [RAT(c) for c in coeffs]
-        if len(coeffs) > self.phi:
-            raise ValueError("too many coefficients")
-        coeffs += [R0] * (self.phi - len(coeffs))
-        return _from_fractions(self, coeffs)
-
     def q_pow(self, k):
         """q**k with k reduced modulo n (q has order n), from the root table."""
         return self._roots[k % self.n]
-
-    def random(self, rng, max_num=9, max_den=4):
-        return _from_fractions(
-            self,
-            [
-                RAT(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-                for _ in range(self.phi)
-            ],
-        )
-
-    def parse(self, text):
-        """Inverse of CycloNum.serialize (accepts any sum of rational z-power terms)."""
-        coeffs = [R0] * self.phi
-        s = text.strip()
-        if not s:
-            raise ValueError("empty cyclotomic literal")
-        s = s.replace("-", "+-").replace("e+-", "e-")
-        for term in s.split("+"):
-            term = term.strip()
-            if not term:
-                continue
-            m = re.fullmatch(r"(-?)\s*(\d+(?:/\d+)?)?\s*\*?\s*(z(?:\^(\d+))?)?", term)
-            if not m or (m.group(2) is None and m.group(3) is None):
-                raise ValueError("bad cyclotomic term %r in %r" % (term, text))
-            sign = -1 if m.group(1) else 1
-            coef = RAT(m.group(2)) if m.group(2) else R1
-            if m.group(3) is None:
-                k = 0
-            elif m.group(4) is None:
-                k = 1
-            else:
-                k = int(m.group(4))
-            if k >= self.phi:
-                raise ValueError("exponent %d out of range in %r" % (k, text))
-            coeffs[k] += sign * coef
-        return _from_fractions(self, coeffs)
 
 
 class CycloNum:

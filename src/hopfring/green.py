@@ -23,7 +23,7 @@ from operator import add
 from .algebra import AlgebraSpec, _ratio, build_algebra
 from .cyclo import RAT, _sum_of_products, cyclo_field
 from .fdalg import TableAlgebra
-from .labels import Label, basis_labels, format_combination, label_dim
+from .labels import Label, basis_labels, format_combination
 from .linalg import SpanBuilder, _add_scaled
 
 __all__ = [
@@ -70,13 +70,15 @@ class FusionMismatch(FusionError):
 
 
 def algebra_for_family(family, n):
-    if family == "tensor_taft":
-        return build_algebra(AlgebraSpec("tensor_taft", n))
+    """The algebra of a family key: "tensor_taft", "taft", "taft_opp",
+    "hpq0", "hpq1", or ("hpq", p) for any other rational p."""
+    if isinstance(family, tuple):
+        return build_algebra(AlgebraSpec("hpq", n, family[1]))
     if family == "hpq0":
         return build_algebra(AlgebraSpec("hpq", n, 0))
     if family == "hpq1":
         return build_algebra(AlgebraSpec("hpq", n, 1))
-    raise FusionError("unknown fusion family %r" % (family,))
+    return build_algebra(AlgebraSpec(family, n))
 
 
 def _half_up(t):
@@ -246,7 +248,7 @@ def _closed_form_deformed(n, A, B):
 
 
 class FusionTable:
-    """All pairwise products of basis classes, with provenance and checks."""
+    """All pairwise products of basis classes, with their case provenance."""
 
     def __init__(self, family, n, mode, labels, entries, coverage=None):
         self.family = family
@@ -264,40 +266,6 @@ class FusionTable:
             for lb, cb in y.items():
                 _axpy(out, ca * cb, self.entries[(la, lb)])
         return out
-
-    def check_symmetric(self):
-        for a in self.labels:
-            for b in self.labels:
-                if self.entries[(a, b)] != self.entries[(b, a)]:
-                    return False
-        return True
-
-    def check_unit(self):
-        for a in self.labels:
-            if self.entries[(self.one, a)] != {a: 1}:
-                return False
-            if self.entries[(a, self.one)] != {a: 1}:
-                return False
-        return True
-
-    def check_dimension_grading(self):
-        for (a, b), out in self.entries.items():
-            lhs = label_dim(a, self.n) * label_dim(b, self.n)
-            rhs = sum(m * label_dim(lab, self.n) for lab, m in out.items())
-            if lhs != rhs:
-                return False
-        return True
-
-    def check_associativity(self):
-        """(ab)c = a(bc) on all |labels|^3 triples of basis labels."""
-        labs = self.labels
-        for a in labs:
-            for b in labs:
-                ab = self.entries[(a, b)]
-                for c in labs:
-                    if self.mul(ab, {c: 1}) != self.mul({a: 1}, self.entries[(b, c)]):
-                        return False
-        return True
 
     def to_json(self):
         return {

@@ -107,20 +107,6 @@ class HopfMaps:
         self._spow_memo[key] = out
         return out
 
-    def delta(self, elt):
-        out = {}
-        for m, c in elt.terms.items():
-            _add_scaled(out, c, self.delta_mono(m))
-        return out
-
-    def counit(self, elt):
-        total = self.H.field.zero
-        for m, c in elt.terms.items():
-            e = self.H.counit_mono(m)
-            if not e.is_zero():
-                total = total + c * e
-        return total
-
     def antipode_mono(self, mono):
         cached = self._antipode_memo.get(mono)
         if cached is not None:

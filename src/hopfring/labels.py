@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["Label", "parse_label", "basis_labels", "label_dim", "format_combination"]
+__all__ = ["Label", "parse_label", "basis_labels", "format_combination"]
 
 _KIND_ORDER = {"S": 0, "V": 0, "P": 1, "Pr": 1}
 
@@ -95,13 +95,3 @@ def format_combination(d):
     return " + ".join(
         ("%d*%s" % (m, l)) if m != 1 else str(l) for l, m in sorted(d.items())
     )
-
-
-def label_dim(label, n):
-    if label.kind == "S":
-        return 1
-    if label.kind == "P":
-        return n * n
-    if label.kind == "V":
-        return label.a
-    return 2 * n

@@ -53,7 +53,6 @@ __all__ = [
     "radical_filtration",
     "module_catalog",
     "decompose",
-    "pim_arrow_scalars",
 ]
 
 
@@ -201,34 +200,6 @@ def projective_P(i, j, H):
     if mod.dim != n * n:
         raise ModuleError("projective module has wrong dimension")
     return mod
-
-
-def pim_arrow_scalars(i, j, H):
-    """The scalars decorating the PIM diagram arrows on the a^k d^l e basis.
-
-    Returns two (k, l) -> scalar maps: one for the solid arrows (action of a),
-    one for the dashed arrows (action of d).
-    """
-    n = H.n
-    es = H.group_idempotents()
-    e = es[(i % n, j % n)]
-    basis = {}
-    for k in range(n):
-        for l in range(n):
-            basis[(k, l)] = H.monomial((k, 0, 0, l)) * e
-    solid = {}
-    dashed = {}
-    a, d = H.gen("a"), H.gen("d")
-    for (k, l), v in basis.items():
-        img = a * v
-        if k + 1 < n:
-            target = basis[(k + 1, l)]
-            solid[(k, l)] = _ratio(img, target)
-        img = d * v
-        if l + 1 < n:
-            target = basis[(k, l + 1)]
-            dashed[(k, l)] = _ratio(img, target)
-    return solid, dashed
 
 
 def tensor_module(M, N, check=True):

@@ -25,8 +25,7 @@ __all__ = [
     "radical_report",
     "radical_ideal_generators",
     "loewy_length",
-    "left_grouplike_eigenvectors",
-    "right_grouplike_eigenvectors",
+    "grouplike_eigenvectors",
     "integrals_and_symmetry",
     "center_and_blocks",
     "blocks_isomorphic_H0",
@@ -123,7 +122,7 @@ def _vector_to_elt(H, row):
 def loewy_length(H):
     """Least m with J^m = 0 (computed once per algebra)."""
     if H._loewy is None:
-        H._loewy = _loewy_length(H)
+        H._loewy = len(_radical_power_dims(H)) + 1
     return H._loewy
 
 
@@ -150,10 +149,6 @@ def _radical_power_dims(H):
                     nxt.append(y)
         current = nxt
     return dims
-
-
-def _loewy_length(H):
-    return len(_radical_power_dims(H)) + 1
 
 
 def radical_report(H):
@@ -188,48 +183,32 @@ def radical_report(H):
     return report
 
 
-def left_grouplike_eigenvectors(H, s, t):
-    """Basis of {v : b v = q^s v and c v = q^t v} for left multiplication.
+def grouplike_eigenvectors(H, s, t, side):
+    """Basis of {v : b v = q^s v and c v = q^t v}, where b and c multiply v
+    on the given side, "left" or "right".
 
     The eigenvectors are explicit geometric sums over the grouplike
-    exponents; each one is verified before being returned.
+    exponents, twisted by the exponent of a (left) or of d (right) that b
+    and c commute past; each one is verified before being returned.
     """
     lam = H._lam
     n = H.n
+    left = side == "left"
+    lam_b, lam_c = (lam[(1, 0)], lam[(2, 0)]) if left else (lam[(3, 1)], lam[(3, 2)])
     out = []
     for i in range(n):
         for k in range(n):
+            x = i if left else k
             terms = {}
             for j in range(n):
                 for l in range(n):
-                    e = j * (i * lam[(1, 0)] - s) + l * (i * lam[(2, 0)] - t)
+                    e = j * (x * lam_b - s) + l * (x * lam_c - t)
                     terms[(i, j, l, k)] = H.field.q_pow(e)
             v = AlgElt(H, terms)
-            if H.gen("b") * v != v.scale(H.field.q_pow(s)) or H.gen("c") * v != v.scale(
-                H.field.q_pow(t)
-            ):
-                raise ArithmeticError("left eigenvector construction failed")
-            out.append(v)
-    return out
-
-
-def right_grouplike_eigenvectors(H, s, t):
-    """Basis of {v : v b = q^s v and v c = q^t v} for right multiplication."""
-    lam = H._lam
-    n = H.n
-    out = []
-    for i in range(n):
-        for k in range(n):
-            terms = {}
-            for j in range(n):
-                for l in range(n):
-                    e = j * (k * lam[(3, 1)] - s) + l * (k * lam[(3, 2)] - t)
-                    terms[(i, j, l, k)] = H.field.q_pow(e)
-            v = AlgElt(H, terms)
-            if v * H.gen("b") != v.scale(H.field.q_pow(s)) or v * H.gen("c") != v.scale(
-                H.field.q_pow(t)
-            ):
-                raise ArithmeticError("right eigenvector construction failed")
+            for g, power in (("b", s), ("c", t)):
+                gv = H.gen(g) * v if left else v * H.gen(g)
+                if gv != v.scale(H.field.q_pow(power)):
+                    raise ArithmeticError("%s eigenvector construction failed" % side)
             out.append(v)
     return out
 
@@ -259,9 +238,9 @@ def _solve_in_span(H, candidates, constraints):
 def integrals_and_symmetry(H):
     """Left/right integral spaces, unimodularity, and innerness of S^2."""
     a, d = H.gen("a"), H.gen("d")
-    left_cand = left_grouplike_eigenvectors(H, 0, 0)
+    left_cand = grouplike_eigenvectors(H, 0, 0, "left")
     left = _solve_in_span(H, left_cand, [lambda v: a * v, lambda v: d * v])
-    right_cand = right_grouplike_eigenvectors(H, 0, 0)
+    right_cand = grouplike_eigenvectors(H, 0, 0, "right")
     right = _solve_in_span(H, right_cand, [lambda v: v * a, lambda v: v * d])
     maps = hopf_maps(H)
     b, c = H.gen("b"), H.gen("c")

@@ -23,7 +23,6 @@ from hopfring.green import (
     verify_presentation,
 )
 from hopfring.hopf import verify_hopf_axioms
-from hopfring.labels import label_dim
 from hopfring.repn import decompose, hom_dim, module_catalog, tensor_module
 from hopfring.structure import (
     center_and_blocks,
@@ -32,7 +31,7 @@ from hopfring.structure import (
     loewy_length,
     monomial_ideal_span,
 )
-from oracles import conjugated_module
+from oracles import conjugated_module, label_dim
 
 ELAPSED = {3: 0.0, 4: 0.0, 5: 0.0}
 # the timed criteria whose n = 3 and n = 4 times criterion 9 sums

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hopfring.algebra import (
 )
 from hopfring.cyclo import cyclo_field
 from hopfring.linalg import Mat, _add_scaled
+from oracles import element, random_element
 
 
 def get(family, n, p=None):
@@ -247,7 +249,7 @@ def test_ratio():
 F3 = cyclo_field(3)
 KEYS = 3
 _coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-_elts = st.lists(_coord, min_size=F3.phi, max_size=F3.phi).map(F3.element)
+_elts = st.lists(_coord, min_size=F3.phi, max_size=F3.phi).map(partial(element, F3))
 # the sixth roots of unity are closed under products, so sums cancel often
 _units = st.sampled_from([F3.q_pow(i) for i in range(3)] + [-F3.q_pow(i) for i in range(3)])
 _nonzero = st.one_of(_units, _units, _elts.filter(lambda c: not c.is_zero()))
@@ -300,13 +302,13 @@ def test_element_product_matches_the_per_term_route(family, n, p):
     F = H.field
     rng = random.Random(n)
 
-    def element(k):
-        coeffs = [F.q_pow(rng.randrange(2 * n)) if rng.random() < 0.5 else F.random(rng)
+    def sample(k):
+        coeffs = [F.q_pow(rng.randrange(2 * n)) if rng.random() < 0.5 else random_element(F, rng)
                   for _ in range(k)]
         return algebra.AlgElt(H, {m: c for m, c in zip(rng.sample(H.basis, k), coeffs) if c})
 
     for kx, ky in [(1, 1)] * 20 + [(1, 4), (4, 1), (6, 7)] * 5:
-        x, y = element(kx), element(ky)
+        x, y = sample(kx), sample(ky)
         want = {}
         for mu, cu in x.terms.items():
             for mv, cv in y.terms.items():

@@ -4,6 +4,8 @@ import pytest
 
 from hopfring import cli
 from hopfring.cli import main
+from hopfring.green import FusionMismatch, fusion_table
+from hopfring.labels import Label
 
 
 def run(capsys, *argv):
@@ -67,6 +69,20 @@ def test_verify_family_mismatch_rejected(capsys):
     assert code == 2
 
 
+def test_p_is_validated(capsys):
+    # --p belongs to family hpq alone and must be a rational literal
+    for argv, message in (
+        ("verify thm3.8 --family tensor-taft --p 7", "only to --family hpq"),
+        ("verify thm4.9 --p 7", "only to --family hpq"),
+        ("modules list --family taft --p 0", "only to --family hpq"),
+        ("verify blocks --family hpq --p abc", "rational number"),
+        ("algebra verify --family hpq --p 1/0", "rational number"),
+    ):
+        assert main(argv.split() + ["--n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 def test_json_byte_determinism(capsys):
     args = ["verify", "cor3.4", "--n", "3", "--seed", "7"]
     code1, out1 = run(capsys, *args)
@@ -97,12 +113,41 @@ def test_table_closed_form(capsys):
 
 
 def test_table_csv(capsys):
-    code, out = run(
-        capsys, "table", "--family", "hpq", "--p", "0", "--n", "3",
-        "--mode", "closed_form", "--format", "csv",
-    )
-    assert code == 0
-    assert out.startswith("a,b,result")
+    # table and export --what table both print FusionTable.to_csv()
+    expected = fusion_table("hpq0", 3, "closed_form").to_csv()
+    assert expected.startswith("a,b,result")
+    for command in ("table --mode closed_form", "export --what table"):
+        argv = command.split() + ["--family", "hpq", "--p", "0", "--n", "3", "--format", "csv"]
+        assert run(capsys, *argv) == (0, expected)
+
+
+def test_csv_rejected_before_any_work(capsys, monkeypatch):
+    # only the fusion tables have a CSV form; no other command is dispatched
+    for name in ("cmd_algebra_verify", "cmd_modules_list", "cmd_fuse", "cmd_verify", "cmd_export"):
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("dispatched"))
+    for command in ("verify thm3.8", "fuse S(0,0) S(1,0)", "modules list", "algebra verify",
+                    "export --what modules", "export --what structure"):
+        argv = command.split() + ["--family", "tensor-taft", "--n", "3", "--format", "csv"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--format csv applies only to" in err
+
+
+def test_csv_failure_prints_the_json_witness(capsys, monkeypatch):
+    # a failure has no CSV form: its JSON document is printed, with exit 1
+    s00 = Label("S", 0, 0)
+    csv = ["--family", "tensor-taft", "--n", "3", "--format", "csv"]
+
+    def mismatch(family, n, mode):
+        raise FusionMismatch(family, n, (s00, s00), {s00: 2}, {s00: 1})
+
+    monkeypatch.setattr(cli, "fusion_table", mismatch)
+    code, out = run(capsys, "table", *csv)
+    assert code == 1 and json.loads(out)["reports"][0]["first_mismatch"] == ["S(0,0)", "S(0,0)"]
+    monkeypatch.setattr(cli, "fusion_table", None)  # an internal error
+    for command in (["table"], ["export", "--what", "table"]):
+        code, out = run(capsys, *command, *csv)
+        assert code == 1 and json.loads(out)["error"].startswith("TypeError: ")
 
 
 def test_export_structure_to_file(tmp_path, capsys, monkeypatch):

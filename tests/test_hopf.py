@@ -11,6 +11,7 @@ from hopfring.hopf import (
     tensor_iso_check,
     verify_hopf_axioms,
 )
+from oracles import counit, delta
 
 
 def get(family, n, p=None):
@@ -32,8 +33,8 @@ def test_coproduct_of_generators():
 def test_counit_and_antipode_of_generators():
     H = get("tensor_taft", 3)
     m = hopf_maps(H)
-    assert m.counit(H.gen("a")).is_zero()
-    assert m.counit(H.gen("b")) == H.field.one
+    assert counit(m, H.gen("a")).is_zero()
+    assert counit(m, H.gen("b")) == H.field.one
     assert m.antipode(H.gen("b")) == H.monomial((0, 2, 0, 0))
     # S(a) = -a b^(n-1)
     assert m.antipode(H.gen("a")) == -H.monomial((1, 2, 0, 0))
@@ -61,7 +62,7 @@ def test_counit_is_a_character():
     for _ in range(50):
         u = H.monomial(H.basis[rng.randrange(H.dim)])
         v = H.monomial(H.basis[rng.randrange(H.dim)])
-        assert m.counit(u * v) == m.counit(u) * m.counit(v)
+        assert counit(m, u * v) == counit(m, u) * counit(m, v)
 
 
 @pytest.mark.parametrize("family,p", [("tensor_taft", None), ("hpq", 0), ("hpq", 1)])
@@ -175,9 +176,9 @@ def test_antipode_axiom_on_deformed_pair():
     m = hopf_maps(H)
     da = H.gen("d") * H.gen("a")
     lhs = H.zero_elt
-    for (v, w), c in m.delta(da).items():
+    for (v, w), c in delta(m, da).items():
         lhs = lhs + (m.antipode_mono(v) * H.monomial(w)).scale(c)
-    assert lhs == H.one.scale(m.counit(da))
+    assert lhs == H.one.scale(counit(m, da))
 
 
 def test_skew_pairing_values():

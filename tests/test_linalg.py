@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from hopfring.linalg import (
     rref_rows,
     solve,
 )
+from oracles import element, random_element
 
 F3 = cyclo_field(3)
 
@@ -55,7 +57,7 @@ def apply(m, vec):
 
 def rand_mat(field, rows, cols, rng):
     return mat_from_rows(
-        field, [[field.random(rng, 4, 2) for _ in range(cols)] for _ in range(rows)]
+        field, [[random_element(field, rng, 4, 2) for _ in range(cols)] for _ in range(rows)]
     )
 
 
@@ -244,7 +246,7 @@ def test_solve_particular_and_kernel():
     rng = random.Random(5)
     for _ in range(20):
         m = rand_mat(F3, 3, 4, rng)
-        x0 = [F3.random(rng) for _ in range(4)]
+        x0 = [random_element(F3, rng) for _ in range(4)]
         b = apply(m, x0)
         x = solve(m, sparse_row(b))
         assert x is not None
@@ -303,7 +305,7 @@ def test_restriction_rejects_noninvariant():
 
 def test_subspace_canonical_under_shuffle():
     rng = random.Random(7)
-    vecs = [[F3.random(rng) for _ in range(5)] for _ in range(3)]
+    vecs = [[random_element(F3, rng) for _ in range(5)] for _ in range(3)]
     s1 = _span(F3, vecs, 5)
     shuffled = list(vecs)
     rng.shuffle(shuffled)
@@ -319,7 +321,7 @@ def test_subspace_canonical_under_shuffle():
 
 def test_span_builder_matches_batch():
     rng = random.Random(8)
-    vecs = [[F3.random(rng) for _ in range(6)] for _ in range(8)]
+    vecs = [[random_element(F3, rng) for _ in range(6)] for _ in range(8)]
     sb = SpanBuilder(F3, 6)
     for v in vecs:
         sb.insert(sparse_row(v))
@@ -338,7 +340,7 @@ PROPS = settings(max_examples=60, deadline=None)
 def _elements(F):
     """Small elements of F, zero about a third of the time."""
     coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    nonzero = st.lists(coord, min_size=F.phi, max_size=F.phi).map(F.element)
+    nonzero = st.lists(coord, min_size=F.phi, max_size=F.phi).map(partial(element, F))
     return st.one_of(st.just(F.zero), nonzero)
 
 

@@ -331,9 +331,11 @@ def test_presentation_names_the_first_pair_the_rewrite_engine_gets_wrong(
 def test_integrals_target_gates_unimodularity(capsys, monkeypatch):
     # left integrals sought where c acts by q, not by its counit value 1,
     # are no longer the right integrals of the p = 0 deformation
-    real = structure.left_grouplike_eigenvectors
+    real = structure.grouplike_eigenvectors
     monkeypatch.setattr(
-        structure, "left_grouplike_eigenvectors", lambda H, s, t: real(H, s, t + 1)
+        structure,
+        "grouplike_eigenvectors",
+        lambda H, s, t, side: real(H, s, t + 1 if side == "left" else t, side),
     )
     code, doc = run(capsys, ["verify", "prop4.1", "--n", "3"])
     assert code == 1

@@ -1,10 +1,12 @@
+import json
 import random
 
 import pytest
 
 from hopfring import repn
 from hopfring.algebra import Algebra, AlgebraSpec, build_algebra
-from hopfring.labels import Label, basis_labels, label_dim
+from hopfring.cli import main
+from hopfring.labels import Label, basis_labels
 from hopfring.linalg import Mat, kronecker
 from hopfring.repn import (
     Module,
@@ -14,7 +16,6 @@ from hopfring.repn import (
     hom_dim,
     module_catalog,
     module_from_vectors,
-    pim_arrow_scalars,
     projective_P,
     radical_filtration,
     regular_representation,
@@ -25,7 +26,7 @@ from hopfring.repn import (
     weightized,
 )
 from hopfring.structure import _vector_to_elt, jacobson_radical, radical_ideal_generators
-from oracles import conjugated_module
+from oracles import conjugated_module, label_dim, random_element
 from test_linalg import apply, dense_row, mat_from_rows, sparse_row
 
 
@@ -77,18 +78,22 @@ def test_projective_dimensions_and_top():
         assert tvec[cat.labels.index(Label("S", 0, 0))] == 1
 
 
-def test_pim_arrow_scalars_match_diagrams():
-    # the undeformed family has undecorated arrows; the p=0 deformation
-    # decorates the dashed arrow at (k, l) with q^k
-    H = get("tensor_taft", 3)
-    solid, dashed = pim_arrow_scalars(0, 0, H)
-    assert all(v == H.field.one for v in solid.values())
-    assert all(v == H.field.one for v in dashed.values())
-    H0 = get("hpq", 3, 0)
-    solid0, dashed0 = pim_arrow_scalars(1, 2, H0)
-    assert all(v == H0.field.one for v in solid0.values())
-    for (k, l), v in dashed0.items():
-        assert v == H0.field.q_pow(k)
+def test_pim_arrow_scalars_match_diagrams(capsys):
+    # on the basis a^k d^l e (index kn + l) of an exported projective cover,
+    # a sends (k, l) to (k + 1, l) and d sends it to (k, l + 1), and nothing
+    # else; the undeformed family has undecorated arrows, and the p=0
+    # deformation decorates the dashed arrow at (k, l) with q^k
+    n = 3
+    q = get("tensor_taft", n).field.q_pow
+    for family, cover, k_power in (("tensor-taft", "P(0,0)", 0), ("hpq --p 0", "P(1,2)", 1)):
+        assert main(["export", "--what", "modules", "--n", "3", "--family", *family.split()]) == 0
+        acts = json.loads(capsys.readouterr().out)["data"]["projective_covers"][cover]["actions"]
+        solid = {((k + 1) * n + l, k * n + l): "1" for k in range(n - 1) for l in range(n)}
+        dashed = {(k * n + l + 1, k * n + l): q(k * k_power).serialize()
+                  for k in range(n) for l in range(n - 1)}
+        for g, arrows in (("a", solid), ("d", dashed)):
+            rows = enumerate(acts[g]["entries"])
+            assert {(r, c): x for r, row in rows for c, x in enumerate(row) if x != "0"} == arrows
 
 
 def test_tensor_module_dims_and_unit():
@@ -228,7 +233,7 @@ def test_act_elt_is_the_sum_of_scaled_monomial_actions():
     rng = random.Random(7)
     elt = H.zero_elt
     for m in rng.sample(H.basis, 6):
-        elt = elt + H.monomial(m).scale(H.field.random(rng))
+        elt = elt + H.monomial(m).scale(random_element(H.field, rng))
     ref = Mat.zeros(H.field, M.dim, M.dim)
     for mono, c in elt.terms.items():
         ref = ref + M._mono_matrix(mono).scale(c)

@@ -154,13 +154,13 @@ def test_loewy_lengths_n3():
 def test_loewy_length_computed_once(monkeypatch):
     H = Algebra(AlgebraSpec("tensor_taft", 3))
     calls = []
-    real = structure._loewy_length
+    real = structure._radical_power_dims
 
     def counting(alg):
         calls.append(alg)
         return real(alg)
 
-    monkeypatch.setattr(structure, "_loewy_length", counting)
+    monkeypatch.setattr(structure, "_radical_power_dims", counting)
     assert loewy_length(H) == 5
     assert radical_report(H)["loewy_length"] == 5
     assert loewy_length(H) == 5
